@@ -1,14 +1,13 @@
-// Snapshot-load benchmark: the legacy TENETKB v1 text container vs the
-// TENETKB2 binary snapshot, loaded buffered and zero-copy (mmap), plus the
-// TENETEMB1 embedding container streamed vs mapped.  This is the number
-// behind the README loading-time table and the >= 5x binary-vs-text
-// acceptance bar of the snapshot format.
+// Snapshot-load benchmark: the TENETKB3 snapshot loaded buffered and
+// zero-copy (mmap), a delta replay on top of it, the TENETEMB1 embedding
+// container streamed vs mapped, and sharded layouts.  This is the number
+// behind the README loading-time table.
 //
 // `--json <path>` writes {bench, ns_per_op, pairs_per_sec, speedup} records
 // (the BENCH_kb_load.json trajectory CI archives); `--smoke` shrinks the
 // sizes and repetitions for the tier-1 CI job.  Timings are best-of-N to
-// shed scheduler noise; speedup is relative to the text load of the same
-// KB.
+// shed scheduler noise; the only speedup column is the sharded
+// critical-path scaling against the 1-shard layout.
 #include <cstdio>
 #include <cstdint>
 #include <string>
@@ -17,7 +16,6 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "embedding/trainer.h"
 #include "json_out.h"
@@ -75,13 +73,9 @@ int main(int argc, char** argv) {
     reps = 2;
   }
 
-  ThreadPool::Options pool_options;
-  pool_options.num_threads = 4;
-  ThreadPool pool(pool_options);
-
   std::vector<bench::JsonRecord> records;
   std::printf("%-8s %-16s %12s %12s %10s\n", "size", "variant", "ms",
-              "items/s", "speedup");
+              "items/s", "scaling");
   for (const SizeSpec& size : sizes) {
     kb::SyntheticKbOptions kb_options;
     kb_options.num_domains = size.num_domains;
@@ -89,16 +83,11 @@ int main(int argc, char** argv) {
     Rng rng(2021);
     kb::SyntheticKb world = kb::SyntheticKbGenerator(kb_options).Generate(rng);
 
-    const std::string text_path =
-        std::string("bench_kb_load_") + size.name + ".text.tenetkb";
     const std::string bin_path =
         std::string("bench_kb_load_") + size.name + ".tenetkb";
     const std::string emb_path =
         std::string("bench_kb_load_") + size.name + ".tenetemb";
-    if (!kb::SaveKnowledgeBase(world.kb, text_path, kb::KbFormat::kTextV1)
-             .ok() ||
-        !kb::SaveKnowledgeBase(world.kb, bin_path, kb::KbFormat::kBinaryV2)
-             .ok()) {
+    if (!kb::SaveKnowledgeBase(world.kb, bin_path).ok()) {
       std::fprintf(stderr, "saving %s KB failed\n", size.name);
       return 1;
     }
@@ -112,31 +101,19 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    struct Variant {
-      const char* name;
-      kb::KbLoadOptions options;
-      const std::string* path;
-    };
-    const Variant variants[] = {
-        {"text", {}, &text_path},
-        {"binary", {/*prefer_mmap=*/false, nullptr}, &bin_path},
-        {"binary_mmap", {/*prefer_mmap=*/true, nullptr}, &bin_path},
-        {"binary_mmap_pool", {/*prefer_mmap=*/true, &pool}, &bin_path},
-    };
     const double items = ItemCount(world.kb);
-    double text_ms = 0.0;
-    for (const Variant& variant : variants) {
-      double ms = BestMillis(reps, [&variant] {
-        return kb::LoadKnowledgeBase(*variant.path, variant.options);
+    for (bool prefer_mmap : {false, true}) {
+      kb::KbLoadOptions options;
+      options.prefer_mmap = prefer_mmap;
+      double ms = BestMillis(reps, [&bin_path, &options] {
+        return kb::LoadKnowledgeBase(bin_path, options);
       });
-      if (variant.name == std::string("text")) text_ms = ms;
-      double speedup = text_ms > 0.0 ? text_ms / ms : 0.0;
-      std::printf("%-8s %-16s %12.3f %12.0f %9.2fx\n", size.name,
-                  variant.name, ms, items / (ms / 1e3), speedup);
+      const char* name = prefer_mmap ? "binary_mmap" : "binary";
+      std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name, name, ms,
+                  items / (ms / 1e3), "-");
       records.push_back(bench::JsonRecord{
-          std::string("kb_load/") + variant.name + "/" + size.name,
-          ms * 1e6, items / (ms / 1e3),
-          variant.name == std::string("text") ? 0.0 : speedup});
+          std::string("kb_load/") + name + "/" + size.name, ms * 1e6,
+          items / (ms / 1e3), 0.0});
     }
 
     // Delta replay (DESIGN.md §12): the live-update cold-start path —
@@ -192,12 +169,11 @@ int main(int argc, char** argv) {
         }
         return kb::ApplyDeltas(kb, store, segments);
       });
-      double speedup = text_ms > 0.0 ? text_ms / ms : 0.0;
-      std::printf("%-8s %-16s %12.3f %12.0f %9.2fx\n", size.name,
-                  "delta_replay", ms, items / (ms / 1e3), speedup);
+      std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name,
+                  "delta_replay", ms, items / (ms / 1e3), "-");
       records.push_back(bench::JsonRecord{
           std::string("kb_load/delta_replay/") + size.name, ms * 1e6,
-          items / (ms / 1e3), speedup});
+          items / (ms / 1e3), 0.0});
     }
 
     const double emb_items = static_cast<double>(world.kb.num_entities()) +
@@ -217,7 +193,6 @@ int main(int argc, char** argv) {
           ms * 1e6, emb_items / (ms / 1e3), 0.0});
     }
 
-    std::remove(text_path.c_str());
     std::remove(bin_path.c_str());
     std::remove(emb_path.c_str());
     for (const std::string& path : delta_paths) std::remove(path.c_str());
@@ -328,7 +303,8 @@ int main(int argc, char** argv) {
 
       std::remove(manifest.c_str());
       for (int s = 0; s < num_shards; ++s) {
-        std::remove((manifest + ".s" + std::to_string(s) + ".kb2").c_str());
+        std::remove(
+            (manifest + ".s" + std::to_string(s) + ".tenetkb").c_str());
         std::remove((manifest + ".s" + std::to_string(s) + ".emb").c_str());
       }
     }

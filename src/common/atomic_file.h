@@ -9,7 +9,7 @@
 namespace tenet {
 
 // Crash-safe file replacement: the durability primitive under every TENET
-// container writer (TENETKB2 / TENETEMB1 snapshots, TENETDELTA1 segments).
+// container writer (TENETKB3 / TENETEMB1 snapshots, TENETDELTA1 segments).
 //
 // The bytes land in `<path>.tmp` first, are fsynced, and only then rename
 // over `path`; the parent directory is fsynced after the rename so the new

@@ -7,7 +7,7 @@
 namespace tenet {
 
 /// FNV-1a over `size` bytes — the checksum every TENET container format
-/// uses (TENETKB2 section tables, TENETDELTA1 records).  Not
+/// uses (TENETKB3 section tables, TENETDELTA1 records).  Not
 /// cryptographic; it detects torn writes and bit rot, which is all the
 /// loaders ask of it.
 inline uint64_t Fnv1a64(const void* data, size_t size) {

@@ -12,7 +12,7 @@ namespace tenet {
 
 // A read-only view of a whole file, zero-copy when the platform has mmap
 // and transparently buffered otherwise — the loading substrate of the
-// TENETKB2 snapshot path (the paper memory-maps its PBG vector array the
+// TENETKB3 snapshot path (the paper memory-maps its PBG vector array the
 // same way, Sec. 6.1: pay the page-in cost lazily, never a parse cost).
 //
 // The two modes expose one contract: bytes() is stable for the lifetime of

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "common/checksum.h"
@@ -17,21 +16,17 @@ namespace kb {
 namespace {
 
 // Section payload header, after the leading u64 payload checksum.
-constexpr uint32_t kDictVersion = 1;
+// The version is bumped on every payload layout change; Parse() accepts
+// only this one.
+constexpr uint32_t kDictVersion = 2;
 constexpr size_t kDictHeaderBytes = 56;  // checksum + fixed fields
 constexpr size_t kPostingRecordBytes = 16;  // {i32 id, i32 pad, f64 prior}
 
-uint64_t HashFoldedKey(std::string_view folded) {
-  return Fnv1a64(folded.data(), folded.size());
-}
-
 // --- probe hashing ----------------------------------------------------------
 // The in-memory probe table hashes keys 8 bytes per multiply with a SWAR
-// case fold, instead of the byte-serial FNV-1a the serialized bucket table
-// keeps (whose xor-multiply dependency chain costs ~4 cycles per byte and
-// dominated lookup latency).  These hashes are derived state, recomputed by
-// BuildProbeTables() on every load — the serialized layout still carries
-// FNV-1a hashes and is unaffected.
+// case fold (a byte-serial FNV-1a's xor-multiply dependency chain costs ~4
+// cycles per byte and dominated lookup latency).  The hashes are derived
+// state, recomputed by BuildProbeTable() on every load and never persisted.
 
 constexpr uint64_t kProbeHashMul = 0x2545f4914f6cdd1dull;
 constexpr uint64_t kProbeHashSeed = 0x9e3779b97f4a7c15ull;
@@ -80,11 +75,6 @@ inline uint64_t HashProbeChunked(const char* data, size_t len,
     h = (h ^ chunk) * kProbeHashMul;
   }
   return MixProbeHash(h);
-}
-
-uint32_t NumBucketsFor(uint64_t num_surfaces) {
-  uint64_t want = std::max<uint64_t>(1, num_surfaces);
-  return static_cast<uint32_t>(std::bit_ceil(want));
 }
 
 void PutVarint(std::string* out, uint32_t value) {
@@ -151,8 +141,8 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
   TENET_CHECK(d.num_surfaces_ == 0 || prev_key_ < folded_surface)
       << "surfaces must be added in strictly ascending folded order";
   // The serialized format stores surface ids, posting offsets and key-blob
-  // offsets as u32 (and NumBucketsFor must fit u32, capping surfaces at
-  // 2^31); fail loudly rather than freeze a silently corrupt dictionary.
+  // offsets as u32 (and the probe table holds 2x the surfaces, capping them
+  // at 2^31); fail loudly rather than freeze a silently corrupt dictionary.
   TENET_CHECK_LT(d.num_surfaces_, uint64_t{1} << 31)
       << "surface count overflows the dictionary format";
   const uint32_t sid = static_cast<uint32_t>(d.num_surfaces_);
@@ -176,10 +166,11 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
   TENET_CHECK_LE(d.key_blob_.size(),
                  size_t{std::numeric_limits<uint32_t>::max()})
       << "key blob overflows the dictionary's u32 restart offsets";
-  raw_key_bytes_ += folded_surface.size();
+  d.raw_key_bytes_ += folded_surface.size();
   d.max_key_bytes_ = std::max(
       d.max_key_bytes_, static_cast<uint32_t>(folded_surface.size()));
-  hashes_.push_back(HashFoldedKey(folded_surface));
+  d.decoded_keys_.append(folded_surface);
+  d.key_ends_.push_back(static_cast<uint32_t>(d.decoded_keys_.size()));
 
   // Postings: record the original interleave in kind_bits_, store grouped
   // entities-first (within-kind order preserved).
@@ -210,89 +201,32 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
 
 std::shared_ptr<const FrozenAliasDict> FrozenAliasDict::Builder::Build() && {
   FrozenAliasDict& d = *dict_;
-  const uint32_t num_surfaces = static_cast<uint32_t>(d.num_surfaces_);
   if (d.posting_offsets_.empty()) d.posting_offsets_.push_back(0);
   d.block_offsets_.push_back(static_cast<uint32_t>(d.key_blob_.size()));
-  d.raw_key_bytes_ = raw_key_bytes_;
-
-  const uint32_t num_buckets = NumBucketsFor(num_surfaces);
-  d.bucket_mask_ = num_buckets - 1;
-
-  d.hash_order_.resize(num_surfaces);
-  std::iota(d.hash_order_.begin(), d.hash_order_.end(), 0u);
-  std::sort(d.hash_order_.begin(), d.hash_order_.end(),
-            [&](uint32_t a, uint32_t b) {
-              const uint32_t ba = hashes_[a] & d.bucket_mask_;
-              const uint32_t bb = hashes_[b] & d.bucket_mask_;
-              if (ba != bb) return ba < bb;
-              if (hashes_[a] != hashes_[b]) return hashes_[a] < hashes_[b];
-              return a < b;
-            });
-  d.bucket_hashes_.resize(num_surfaces);
-  for (uint32_t i = 0; i < num_surfaces; ++i) {
-    d.bucket_hashes_[i] = hashes_[d.hash_order_[i]];
-  }
-  d.bucket_offsets_.assign(num_buckets + 1, 0);
-  for (uint32_t i = 0; i < num_surfaces; ++i) {
-    ++d.bucket_offsets_[(d.bucket_hashes_[i] & d.bucket_mask_) + 1];
-  }
-  for (uint32_t b = 0; b < num_buckets; ++b) {
-    d.bucket_offsets_[b + 1] += d.bucket_offsets_[b];
-  }
-  d.BuildProbeTables();
+  d.decoded_keys_.shrink_to_fit();  // Add() grew it geometrically
+  d.BuildProbeTable();
   return std::shared_ptr<const FrozenAliasDict>(std::move(dict_));
 }
 
 // --- lookup -----------------------------------------------------------------
 
-// Derives probe_slots_ / decoded_keys_ from the serialized arrays: decode
-// every front-coded key once into a flat arena, then insert each surface
-// into a power-of-two linear-probing table (load factor <= 1/2) whose
-// 64-byte slots interleave the key hash with the sid, the decoded-key span
-// and the posting span.  After this, a hit touches one slot chain (usually
-// one cache line) plus the key bytes — the front-coded blob and the
-// per-sid offset arrays stay cold; a miss usually ends at the first,
-// empty, slot.  Insertion in ascending sid order keeps the layout
-// deterministic (it is derived state either way — never persisted).
-void FrozenAliasDict::BuildProbeTables() {
-  decoded_keys_.clear();
-  decoded_keys_.reserve(raw_key_bytes_);
-  std::vector<uint32_t> key_begin(num_surfaces_);
-  std::string key;
-  const char* blob = key_blob_.data();
-  size_t cursor = 0;
-  size_t block_end = 0;
-  for (uint64_t sid = 0; sid < num_surfaces_; ++sid) {
-    const uint32_t block = static_cast<uint32_t>(sid) / kBlockSize;
-    uint32_t lcp = 0;
-    uint32_t suffix_len = 0;
-    if (sid % kBlockSize == 0) {
-      cursor = block_offsets_[block];
-      block_end = block_offsets_[block + 1];
-      GetVarint(blob, block_end, &cursor, &suffix_len);  // full key; lcp = 0
-    } else {
-      GetVarint(blob, block_end, &cursor, &lcp);
-      GetVarint(blob, block_end, &cursor, &suffix_len);
-    }
-    key.resize(lcp);
-    key.append(blob + cursor, suffix_len);
-    cursor += suffix_len;
-    key_begin[sid] = static_cast<uint32_t>(decoded_keys_.size());
-    decoded_keys_.append(key);
-  }
-
+// Inserts every surface — its key already decoded into decoded_keys_ — into
+// a power-of-two linear-probing table (load factor <= 1/2) whose 64-byte
+// slots interleave the key hash with the sid, the decoded-key span and the
+// posting span.  After this, a hit touches one slot chain (usually one
+// cache line) plus the key bytes — the front-coded blob and the per-sid
+// offset arrays stay cold; a miss usually ends at the first, empty, slot.
+// Insertion in ascending sid order keeps the layout deterministic (it is
+// derived state either way — never persisted).
+void FrozenAliasDict::BuildProbeTable() {
   const uint64_t table_size =
       std::bit_ceil(std::max<uint64_t>(2, 2 * num_surfaces_));
   probe_mask_ = static_cast<uint32_t>(table_size - 1);
   probe_slots_.assign(table_size, ProbeSlot{});
   for (uint64_t i = 0; i < num_surfaces_; ++i) {
     const uint32_t sid = static_cast<uint32_t>(i);
-    const uint32_t begin = key_begin[sid];
-    const uint32_t len =
-        (sid + 1 < num_surfaces_ ? key_begin[sid + 1]
-                                 : static_cast<uint32_t>(
-                                       decoded_keys_.size())) -
-        begin;
+    const uint32_t begin = sid == 0 ? 0 : key_ends_[sid - 1];
+    const uint32_t len = key_ends_[sid] - begin;
     ProbeSlot slot;
     slot.hash = HashProbeChunked(decoded_keys_.data() + begin, len, nullptr);
     slot.sid = sid;
@@ -308,6 +242,7 @@ void FrozenAliasDict::BuildProbeTables() {
     while (probe_slots_[at].key_len != 0) at = (at + 1) & probe_mask_;
     probe_slots_[at] = slot;
   }
+  key_ends_ = {};
 }
 
 const FrozenAliasDict::ProbeSlot* FrozenAliasDict::FindSlot(
@@ -454,7 +389,6 @@ FrozenAliasDict::Stats FrozenAliasDict::stats() const {
 std::vector<unsigned char> FrozenAliasDict::Serialize() const {
   std::vector<unsigned char> out;
   const uint32_t num_surfaces = static_cast<uint32_t>(num_surfaces_);
-  const uint32_t num_buckets = bucket_mask_ + 1;
   const uint32_t num_blocks =
       static_cast<uint32_t>(block_offsets_.size()) - 1;
   const uint64_t num_posting_records = num_postings();
@@ -463,21 +397,14 @@ std::vector<unsigned char> FrozenAliasDict::Serialize() const {
   AppendScalar<uint32_t>(&out, kDictVersion);
   AppendScalar<uint32_t>(&out, kBlockSize);
   AppendScalar<uint32_t>(&out, num_surfaces);
-  AppendScalar<uint32_t>(&out, num_buckets);
   AppendScalar<uint32_t>(&out, num_blocks);
   AppendScalar<uint32_t>(&out, max_key_bytes_);
+  AppendScalar<uint32_t>(&out, 0);  // reserved
   AppendScalar<uint64_t>(&out, num_posting_records);
   AppendScalar<uint64_t>(&out, static_cast<uint64_t>(key_blob_.size()));
   AppendScalar<uint64_t>(&out, raw_key_bytes_);
   TENET_CHECK_EQ(out.size(), kDictHeaderBytes);
 
-  AppendPod(&out, bucket_offsets_.data(),
-            bucket_offsets_.size() * sizeof(uint32_t));
-  PadTo8(&out);
-  AppendPod(&out, hash_order_.data(), hash_order_.size() * sizeof(uint32_t));
-  PadTo8(&out);
-  AppendPod(&out, bucket_hashes_.data(),
-            bucket_hashes_.size() * sizeof(uint64_t));
   AppendPod(&out, block_offsets_.data(),
             block_offsets_.size() * sizeof(uint32_t));
   PadTo8(&out);
@@ -506,13 +433,10 @@ namespace {
 // Byte size of the serialized payload with the given header counts — the
 // exact-arithmetic companion of Serialize(), used to reject any payload
 // whose length disagrees with its own header.
-uint64_t ExpectedPayloadBytes(uint64_t num_surfaces, uint64_t num_buckets,
-                              uint64_t num_blocks, uint64_t num_postings,
+uint64_t ExpectedPayloadBytes(uint64_t num_surfaces, uint64_t num_blocks,
+                              uint64_t num_postings,
                               uint64_t key_blob_bytes) {
   uint64_t size = kDictHeaderBytes;
-  size += Aligned8((num_buckets + 1) * sizeof(uint32_t));  // bucket_offsets
-  size += Aligned8(num_surfaces * sizeof(uint32_t));       // hash_order
-  size += num_surfaces * sizeof(uint64_t);                 // bucket_hashes
   size += Aligned8((num_blocks + 1) * sizeof(uint32_t));   // block_offsets
   size += Aligned8((num_surfaces + 1) * sizeof(uint32_t));  // posting_offsets
   size += Aligned8(num_surfaces * sizeof(uint32_t));       // entity_splits
@@ -566,9 +490,9 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   const uint32_t version = ReadScalar<uint32_t>(p + 8);
   const uint32_t block_size = ReadScalar<uint32_t>(p + 12);
   const uint32_t num_surfaces = ReadScalar<uint32_t>(p + 16);
-  const uint32_t num_buckets = ReadScalar<uint32_t>(p + 20);
-  const uint32_t num_blocks = ReadScalar<uint32_t>(p + 24);
-  const uint32_t max_key_bytes = ReadScalar<uint32_t>(p + 28);
+  const uint32_t num_blocks = ReadScalar<uint32_t>(p + 20);
+  const uint32_t max_key_bytes = ReadScalar<uint32_t>(p + 24);
+  const uint32_t reserved = ReadScalar<uint32_t>(p + 28);
   const uint64_t num_postings = ReadScalar<uint64_t>(p + 32);
   const uint64_t key_blob_bytes = ReadScalar<uint64_t>(p + 40);
   const uint64_t raw_key_bytes = ReadScalar<uint64_t>(p + 48);
@@ -580,24 +504,27 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   if (block_size != kBlockSize) {
     return DictError("unsupported block size " + std::to_string(block_size));
   }
-  if (num_buckets != NumBucketsFor(num_surfaces)) {
-    return DictError("bucket count is not the canonical power of two");
+  if (reserved != 0) {
+    return DictError("nonzero reserved header word");
+  }
+  if (num_surfaces >= uint32_t{1} << 31) {
+    return DictError("surface count overflows the dictionary format");
   }
   if (num_blocks !=
       (num_surfaces + kBlockSize - 1) / kBlockSize) {
     return DictError("block count disagrees with surface count");
   }
-  // num_surfaces/num_buckets/num_blocks are u32 and mutually constrained
-  // above, but num_postings and key_blob_bytes are free u64 header fields.
-  // Bound them against the section itself before any size arithmetic so
-  // the sum in ExpectedPayloadBytes cannot wrap mod 2^64 and make a small
-  // crafted payload alias a huge declared layout.
+  // num_surfaces/num_blocks are u32 and mutually constrained above, but
+  // num_postings, key_blob_bytes and raw_key_bytes are free u64 header
+  // fields.  Bound them against the section itself before any size
+  // arithmetic so the sum in ExpectedPayloadBytes cannot wrap mod 2^64 and
+  // make a small crafted payload alias a huge declared layout.
   if (num_postings > payload.size() / kPostingRecordBytes ||
       key_blob_bytes > payload.size()) {
     return DictError("header counts exceed section size");
   }
-  if (ExpectedPayloadBytes(num_surfaces, num_buckets, num_blocks,
-                           num_postings, key_blob_bytes) != payload.size()) {
+  if (ExpectedPayloadBytes(num_surfaces, num_blocks, num_postings,
+                           key_blob_bytes) != payload.size()) {
     return DictError("section size disagrees with header counts");
   }
 
@@ -606,7 +533,6 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   d.num_surfaces_ = num_surfaces;
   d.max_key_bytes_ = max_key_bytes;
   d.raw_key_bytes_ = raw_key_bytes;
-  d.bucket_mask_ = num_buckets - 1;
 
   size_t pos = kDictHeaderBytes;
   auto read_u32s = [&](std::vector<uint32_t>* out, size_t count) {
@@ -616,29 +542,19 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     }
     pos = Aligned8(pos + count * sizeof(uint32_t));
   };
-  auto read_u64s = [&](std::vector<uint64_t>* out, size_t count) {
-    out->resize(count);
-    if (count != 0) {
-      std::memcpy(out->data(), p + pos, count * sizeof(uint64_t));
-    }
-    pos += count * sizeof(uint64_t);
-  };
-  read_u32s(&d.bucket_offsets_, num_buckets + 1);
-  read_u32s(&d.hash_order_, num_surfaces);
-  read_u64s(&d.bucket_hashes_, num_surfaces);
   read_u32s(&d.block_offsets_, num_blocks + 1);
   read_u32s(&d.posting_offsets_, static_cast<size_t>(num_surfaces) + 1);
   read_u32s(&d.entity_splits_, num_surfaces);
-  read_u64s(&d.kind_bits_, (num_postings + 63) / 64);
+  d.kind_bits_.resize((num_postings + 63) / 64);
+  if (!d.kind_bits_.empty()) {
+    std::memcpy(d.kind_bits_.data(), p + pos,
+                d.kind_bits_.size() * sizeof(uint64_t));
+  }
+  pos += d.kind_bits_.size() * sizeof(uint64_t);
   d.key_blob_.assign(reinterpret_cast<const char*>(p + pos), key_blob_bytes);
   pos = Aligned8(pos + key_blob_bytes);
 
   // Offset tables: monotone, exact endpoints.
-  if (d.bucket_offsets_.front() != 0 ||
-      d.bucket_offsets_.back() != num_surfaces ||
-      !std::is_sorted(d.bucket_offsets_.begin(), d.bucket_offsets_.end())) {
-    return DictError("corrupt bucket offsets");
-  }
   if (d.block_offsets_.front() != 0 ||
       d.block_offsets_.back() != key_blob_bytes ||
       !std::is_sorted(d.block_offsets_.begin(), d.block_offsets_.end())) {
@@ -651,36 +567,18 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     return DictError("corrupt posting offsets");
   }
 
-  // hash_order_ must be a permutation of [0, num_surfaces), sorted by
-  // (bucket, hash, sid) with every entry in its own bucket's range.
-  std::vector<bool> seen(num_surfaces, false);
-  std::vector<uint32_t> pos_of_sid(num_surfaces, 0);
-  for (uint32_t b = 0; b < num_buckets; ++b) {
-    for (uint32_t i = d.bucket_offsets_[b]; i < d.bucket_offsets_[b + 1];
-         ++i) {
-      const uint32_t sid = d.hash_order_[i];
-      if (sid >= num_surfaces || seen[sid]) {
-        return DictError("hash order is not a permutation");
-      }
-      seen[sid] = true;
-      pos_of_sid[sid] = i;
-      if ((d.bucket_hashes_[i] & d.bucket_mask_) != b) {
-        return DictError("hash entry in the wrong bucket");
-      }
-      if (i > d.bucket_offsets_[b] &&
-          (d.bucket_hashes_[i - 1] > d.bucket_hashes_[i] ||
-           (d.bucket_hashes_[i - 1] == d.bucket_hashes_[i] &&
-            d.hash_order_[i - 1] >= sid))) {
-        return DictError("hash entries out of order within a bucket");
-      }
-    }
+  // Decode every key into decoded_keys_ — the probe table's key arena —
+  // checking each is non-empty, folded, within max_key_bytes and strictly
+  // after its predecessor (so keys are also unique).  A key is at most as
+  // long as its block's encoding, so the block size times the blob size
+  // bounds the arena before anything is reserved.
+  if (raw_key_bytes > uint64_t{kBlockSize} * key_blob_bytes ||
+      raw_key_bytes > std::numeric_limits<uint32_t>::max()) {
+    return DictError("raw key byte count exceeds what the key blob encodes");
   }
-
-  // Decode every key: strictly ascending, non-empty, folded, within
-  // max_key_bytes, hashes agreeing with the bucket table.
-  std::string prev_key;
+  d.decoded_keys_.reserve(static_cast<size_t>(raw_key_bytes));
+  d.key_ends_.reserve(num_surfaces);
   std::string key;
-  uint64_t raw_sum = 0;
   uint32_t observed_max = 0;
   const char* blob = d.key_blob_.data();
   size_t cursor = 0;
@@ -688,35 +586,31 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   for (uint32_t sid = 0; sid < num_surfaces; ++sid) {
     const uint32_t block = sid / kBlockSize;
     const uint32_t entry = sid % kBlockSize;
+    // `key` still holds sid - 1's bytes; later entries of a block decode
+    // against it.
+    uint32_t lcp = 0;
+    uint32_t suffix_len = 0;
     if (entry == 0) {
       cursor = d.block_offsets_[block];
       block_end = d.block_offsets_[block + 1];
-      key.clear();
-      uint32_t len = 0;
-      if (!GetVarint(blob, block_end, &cursor, &len) ||
-          cursor + len > block_end) {
+      if (!GetVarint(blob, block_end, &cursor, &suffix_len) ||
+          cursor + suffix_len > block_end) {
         return DictError("truncated key block");
       }
-      key.assign(blob + cursor, len);
-      cursor += len;
-    } else {
-      // `key` still holds sid - 1's bytes; decode against it.
-      uint32_t lcp = 0;
-      uint32_t suffix_len = 0;
-      if (!GetVarint(blob, block_end, &cursor, &lcp) ||
-          !GetVarint(blob, block_end, &cursor, &suffix_len) ||
-          cursor + suffix_len > block_end || lcp > key.size()) {
-        return DictError("corrupt front-coded key entry");
-      }
-      key.resize(lcp);
-      key.append(blob + cursor, suffix_len);
-      cursor += suffix_len;
+    } else if (!GetVarint(blob, block_end, &cursor, &lcp) ||
+               !GetVarint(blob, block_end, &cursor, &suffix_len) ||
+               cursor + suffix_len > block_end || lcp > key.size()) {
+      return DictError("corrupt front-coded key entry");
     }
+    key.resize(lcp);
+    key.append(blob + cursor, suffix_len);
+    cursor += suffix_len;
     if ((entry == kBlockSize - 1 || sid == num_surfaces - 1) &&
         cursor != block_end) {
       return DictError("key block has trailing bytes");
     }
-    if (key.empty() || key.size() > max_key_bytes) {
+    if (key.empty() || key.size() > max_key_bytes ||
+        d.decoded_keys_.size() + key.size() > raw_key_bytes) {
       return DictError("key length out of range");
     }
     for (char c : key) {
@@ -724,20 +618,17 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
         return DictError("key is not case-folded");
       }
     }
-    if (sid > 0 && !(prev_key < key)) {
-      return DictError("keys out of sorted order");
+    if (sid > 0) {
+      const size_t prev_begin = sid > 1 ? d.key_ends_[sid - 2] : 0;
+      if (!(std::string_view(d.decoded_keys_).substr(prev_begin) < key)) {
+        return DictError("keys out of sorted order");
+      }
     }
-    prev_key = key;
-    raw_sum += key.size();
-    observed_max = std::max(observed_max,
-                            static_cast<uint32_t>(key.size()));
-    const uint64_t hash = HashFoldedKey(key);
-    const uint32_t at = pos_of_sid[sid];
-    if (d.bucket_hashes_[at] != hash) {
-      return DictError("key hash disagrees with the bucket table");
-    }
+    d.decoded_keys_.append(key);
+    d.key_ends_.push_back(static_cast<uint32_t>(d.decoded_keys_.size()));
+    observed_max = std::max(observed_max, static_cast<uint32_t>(key.size()));
   }
-  if (raw_sum != raw_key_bytes) {
+  if (d.decoded_keys_.size() != raw_key_bytes) {
     return DictError("raw key byte count disagrees with header");
   }
   if (num_surfaces > 0 && observed_max != max_key_bytes) {
@@ -819,7 +710,7 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     }
   }
 
-  d.BuildProbeTables();
+  d.BuildProbeTable();
   return std::shared_ptr<const FrozenAliasDict>(std::move(dict));
 }
 

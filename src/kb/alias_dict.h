@@ -18,7 +18,7 @@ namespace kb {
 
 // Immutable, cache-friendly dictionary from case-folded surface forms to
 // posting-list spans — the frozen tier of the two-tier AliasIndex and the
-// in-memory image of the `alias_dict` TENETKB2 section.  Design in
+// in-memory image of the `alias_dict` TENETKB3 section.  Design in
 // DESIGN.md §15.
 //
 // Layout:
@@ -27,8 +27,8 @@ namespace kb {
 //     (a restart point), later keys as (lcp, suffix) varint pairs against
 //     their predecessor.  Raw key bytes shrink ~2-4x on realistic alias
 //     tables, and a block decode touches one contiguous byte run.
-//   - Lookup goes through an in-memory probe table rebuilt from the
-//     payload at Build/Parse time (never serialized): a power-of-two
+//   - Lookup goes through an in-memory probe table derived from the keys
+//     at Build/Parse time (never serialized): a power-of-two
 //     linear-probing table at load factor <= 1/2 whose 64-byte slots
 //     interleave a chunked SWAR key hash (8 case-folded bytes per
 //     multiply) with the surface id, the posting span and the key bytes
@@ -36,9 +36,9 @@ namespace kb {
 //     decoded-key arena).  A hit therefore costs one random cache line in
 //     the common case, a miss usually ends at the first, empty, slot, and
 //     nothing allocates: the probe is folded on the fly.  The serialized
-//     form additionally carries a bucketed FNV-1a hash table
-//     (bucket_offsets / hash_order / bucket_hashes) that Parse()
-//     cross-validates against the keys.
+//     form carries no hash table at all: Parse() validates the keys
+//     (sorted, folded, in-range lengths) and rebuilds the probe table
+//     from them.
 //   - Postings live in one arena, grouped entities-first per surface, so
 //     Entities()/Predicates() each return one contiguous borrowed span in
 //     CanonicalPostingOrder (delta-touched lists: stable by-prior order).
@@ -89,8 +89,6 @@ class FrozenAliasDict {
     std::unique_ptr<FrozenAliasDict> dict_ =
         std::make_unique<FrozenAliasDict>();
     std::string prev_key_;
-    std::vector<uint64_t> hashes_;  // per-sid key hashes, bucketed in Build
-    uint64_t raw_key_bytes_ = 0;
   };
 
   FrozenAliasDict() = default;
@@ -139,9 +137,10 @@ class FrozenAliasDict {
   std::vector<unsigned char> Serialize() const;
 
   /// Deserializes and fully validates a section payload: checksum, exact
-  /// size arithmetic, offset monotonicity, key ordering/folding, hash and
-  /// bucket consistency, posting id ranges and prior positivity.  Any
-  /// defect yields kInvalidArgument — never a partially usable dictionary.
+  /// size arithmetic, offset monotonicity, key ordering/folding/lengths,
+  /// posting id ranges and prior positivity, then rebuilds the probe table
+  /// from the validated keys.  Any defect yields kInvalidArgument — never
+  /// a partially usable dictionary.
   static Result<std::shared_ptr<const FrozenAliasDict>> Parse(
       std::span<const unsigned char> payload, const ParseLimits& limits);
 
@@ -161,10 +160,10 @@ class FrozenAliasDict {
   // hash interleaved with everything a confirmed hit needs — including the
   // key bytes themselves for keys up to kInlineKeyBytes — so Find() and
   // Entities()/Predicates() resolve most probes with a single random
-  // access and never touch hash_order_ / posting_offsets_ /
-  // entity_splits_ on the hot path.  key_len == 0 marks an empty slot
-  // (keys are non-empty by construction).  Derived state — rebuilt from
-  // the serialized arrays by BuildProbeTables(), never persisted.
+  // access and never touch posting_offsets_ / entity_splits_ on the hot
+  // path.  key_len == 0 marks an empty slot (keys are non-empty by
+  // construction).  Derived state — rebuilt from decoded_keys_ by
+  // BuildProbeTable(), never persisted.
   struct alignas(64) ProbeSlot {
     uint64_t hash = 0;
     uint32_t sid = 0;
@@ -177,26 +176,23 @@ class FrozenAliasDict {
   };
   static_assert(sizeof(ProbeSlot) == 64);
 
-  // Rebuilds probe_slots_ / decoded_keys_ from the serialized arrays.
-  void BuildProbeTables();
+  // Fills probe_slots_ from decoded_keys_ / key_ends_ and the posting
+  // offsets, then drops key_ends_.
+  void BuildProbeTable();
 
-  // Bucket-scan lookup; nullptr when the surface is absent.
+  // Linear-probing lookup in probe_slots_; nullptr when the surface is
+  // absent.
   const ProbeSlot* FindSlot(std::string_view probe) const;
 
-  // --- lookup tables ---
-  // Prefix ranges into hash_order_, one per bucket (+ end sentinel).
-  std::vector<uint32_t> bucket_offsets_;
-  // Surface ids sorted by (bucket, hash, sid).
-  std::vector<uint32_t> hash_order_;
-  // 64-bit key hashes, stored in hash_order_ order (contiguous bucket scan).
-  std::vector<uint64_t> bucket_hashes_;
-  uint32_t bucket_mask_ = 0;  // num_buckets - 1
-  // Derived probe acceleration (see ProbeSlot): a power-of-two
-  // linear-probing table at load factor <= 1/2, plus every key decoded
-  // once into a flat arena for direct compares.
+  // --- lookup table (derived, see ProbeSlot) ---
+  // A power-of-two linear-probing table at load factor <= 1/2, plus every
+  // key decoded once into a flat arena for direct compares.
   std::vector<ProbeSlot> probe_slots_;
   uint32_t probe_mask_ = 0;  // probe_slots_.size() - 1
   std::string decoded_keys_;
+  // End offset of each key in decoded_keys_; only alive between key
+  // decoding and BuildProbeTable().
+  std::vector<uint32_t> key_ends_;
 
   // --- key storage ---
   // Byte offsets of each block's encoding in key_blob_ (+ end sentinel).

@@ -429,7 +429,7 @@ Status BadRecord(size_t segment, size_t record, const std::string& why) {
 Result<AppliedDelta> ApplyDeltas(
     const KnowledgeBase& base,
     const embedding::EmbeddingStore& base_embeddings,
-    std::span<const DeltaSegment> segments, ThreadPool* pool) {
+    std::span<const DeltaSegment> segments) {
   if (TENET_FAULT_POINT("kb/delta/apply")) {
     return Status::DataLoss("injected fault: delta apply aborted");
   }
@@ -728,9 +728,13 @@ Result<AppliedDelta> ApplyDeltas(
         composed.end());
 
     // Touched surfaces renormalize over the composed weights — the base's
-    // finalized priors count as the existing weights — exactly the way
-    // FinalizeShard would: per-kind totals, divide, descending stable
-    // sort.  A surface composed down to nothing becomes a tombstone.
+    // finalized priors count as the existing weights: per-kind totals,
+    // divide, then a stable sort by descending prior, so equal priors keep
+    // their composed order.  This is NOT the CanonicalPostingOrder sort of
+    // AliasIndex::Finalize (which breaks prior ties by kind, then id);
+    // alias_dict.h documents that delta-touched lists carry this stable
+    // by-prior order.  A surface composed down to nothing becomes a
+    // tombstone.
     AliasIndex::OverlayEntry entry;
     if (!composed.empty()) {
       double entity_total = 0.0;
@@ -763,9 +767,7 @@ Result<AppliedDelta> ApplyDeltas(
   }
 
   kb.AdoptAliasState(base.alias_index().frozen_dict(), std::move(overlay));
-  KnowledgeBase::FinalizeOptions finalize;
-  finalize.pool = pool;
-  kb.Finalize(finalize);
+  kb.Finalize();
 
   // ---- Embeddings: base rows copied, delta rows zero unless set -----------
   embedding::EmbeddingStore store(dim, num_entities, num_predicates);

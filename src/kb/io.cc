@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -31,42 +30,44 @@ namespace tenet {
 namespace kb {
 namespace {
 
-constexpr char kKbMagicV1[] = "TENETKB v1";
-constexpr char kKbMagicV2[8] = {'T', 'E', 'N', 'E', 'T', 'K', 'B', '2'};
+constexpr char kKbMagic[8] = {'T', 'E', 'N', 'E', 'T', 'K', 'B', '3'};
 constexpr char kEmbMagic[] = "TENETEMB1";
 constexpr char kShardManifestMagic[] = "TENETKBSHARDS1";
 
-// ---- TENETKB2 binary layout (DESIGN.md §11) -------------------------------
+// ---- TENETKB3 binary layout (DESIGN.md §11) -------------------------------
 // All integers are fixed-width little-endian; the endian tag rejects
 // cross-endian snapshots.  Every section is length-prefixed in the header
 // table and 8-byte aligned, so a mapped file is consumed by pointer
 // arithmetic — no tokenizing, no float re-parsing.
 
-constexpr uint32_t kEndianTag = 0x32424B54;  // "TKB2" when little-endian
+constexpr uint32_t kEndianTag = 0x33424B54;  // "TKB3" when little-endian
 constexpr size_t kHeaderBytes = 32;          // magic+tag+count+size+checksum
 constexpr size_t kSectionEntryBytes = 32;    // id+pad+offset+bytes+items
-constexpr size_t kRecordBytes = 24;          // entity/predicate/alias/fact
+constexpr size_t kRecordBytes = 24;          // entity/predicate/fact
 
 enum SectionId : uint32_t {
   kSectionStrings = 1,
   kSectionEntities = 2,
   kSectionPredicates = 3,
-  kSectionAliases = 4,
+  // Id 4 was the per-posting `aliases` section of TENETKB2; it stays
+  // retired so an old table can never be read as a new one.
   kSectionFacts = 5,
   // Present only in per-shard snapshots of a sharded layout: one 32-byte
   // record {u32 num_shards, u32 shard_index, i64 global_entities,
-  // i64 global_predicates, i64 global_facts}.  Unknown to (and therefore
-  // rejected by) the flat loader, which keeps `kb delta`/`kb merge` from
-  // silently treating one shard as a whole KB.
+  // i64 global_predicates, i64 global_facts}.  The flat loader rejects it,
+  // which keeps `kb delta`/`kb merge` from silently treating one shard as
+  // a whole KB.
   kSectionShardInfo = 6,
   // Frozen alias dictionary (kb/alias_dict.h, DESIGN.md §15): front-coded
-  // sorted surfaces + posting arena, self-checksummed.  Snapshots carrying
-  // it leave the legacy aliases section present but EMPTY, which keeps the
-  // all-five-known-sections invariant intact for the table parser while
-  // making old and new alias storage mutually exclusive.
+  // sorted surfaces + posting arena, self-checksummed.
   kSectionAliasDict = 7,
 };
-constexpr uint32_t kNumKnownSections = 5;
+constexpr uint32_t kMaxSectionId = kSectionAliasDict;
+// Every snapshot carries these; shard snapshots add shard_info.
+constexpr SectionId kRequiredSections[] = {kSectionStrings, kSectionEntities,
+                                           kSectionPredicates, kSectionFacts,
+                                           kSectionAliasDict};
+constexpr uint32_t kNumRequiredSections = std::size(kRequiredSections);
 constexpr size_t kShardInfoBytes = 32;
 
 const char* SectionName(uint32_t id) {
@@ -74,7 +75,6 @@ const char* SectionName(uint32_t id) {
     case kSectionStrings: return "string_table";
     case kSectionEntities: return "entities";
     case kSectionPredicates: return "predicates";
-    case kSectionAliases: return "aliases";
     case kSectionFacts: return "facts";
     case kSectionShardInfo: return "shard_info";
     case kSectionAliasDict: return "alias_dict";
@@ -176,21 +176,56 @@ struct SectionEntry {
 };
 
 // Header + section table of a mapped snapshot, validated: magic, endian
-// tag, declared-vs-actual file size, checksum, per-section bounds, and the
-// presence of each known section exactly once.
+// tag, declared-vs-actual file size, checksum, per-section bounds, every
+// section id known and present at most once, every required one present.
 struct SnapshotLayout {
-  std::array<SectionEntry, kNumKnownSections> known;  // by id - 1
-  std::vector<SectionEntry> all;
+  std::array<SectionEntry, kMaxSectionId + 1> by_id;  // id 0 unused
+  std::array<bool, kMaxSectionId + 1> present{};
+  std::vector<SectionEntry> all;  // file order, for `kb inspect`
+
+  const SectionEntry& section(uint32_t id) const { return by_id[id]; }
 };
 
+bool IsShardManifest(std::span<const std::byte> bytes) {
+  constexpr size_t n = sizeof(kShardManifestMagic) - 1;
+  return bytes.size() >= n &&
+         std::memcmp(bytes.data(), kShardManifestMagic, n) == 0;
+}
+
+// Anything but a TENETKB3 snapshot is rejected here.  Older TENET KB
+// versions are named, so a stale file reads as "rebuild me", not as
+// corruption: the format version is bumped on every layout change and old
+// layouts are never loaded silently.
+Status CheckMagic(std::span<const std::byte> bytes) {
+  const std::string_view head(reinterpret_cast<const char*>(bytes.data()),
+                              std::min<size_t>(bytes.size(), 16));
+  if (head.starts_with(std::string_view(kKbMagic, sizeof(kKbMagic)))) {
+    return Status::Ok();
+  }
+  if (IsShardManifest(bytes)) {
+    return Status::InvalidArgument(
+        "sharded KB manifest; load it via ShardedKb::Load");
+  }
+  if (head.starts_with("TENETKB")) {
+    // Binary magics are "TENETKB<n>"; version 1 was a text format whose
+    // first line spelled the version after a space.
+    const std::string_view version =
+        head.size() > 7 && head[7] == ' ' ? head.substr(0, head.find('\n'))
+                                          : head.substr(0, 8);
+    return Status::InvalidArgument(
+        std::string(version) +
+        " snapshots are no longer supported (this build reads TENETKB3); "
+        "rebuild the KB with `tenet_cli kb build`");
+  }
+  return Status::InvalidArgument("not a TENETKB3 snapshot");
+}
+
 Result<SnapshotLayout> ParseSnapshotLayout(std::span<const std::byte> bytes) {
+  TENET_RETURN_IF_ERROR(CheckMagic(bytes));
   if (bytes.size() < kHeaderBytes) {
-    return Status::InvalidArgument("truncated TENETKB2 header");
+    return Status::InvalidArgument("truncated TENETKB3 header");
   }
   const std::byte* p = bytes.data();
-  if (std::memcmp(p, kKbMagicV2, sizeof(kKbMagicV2)) != 0) {
-    return Status::InvalidArgument("not a TENETKB2 snapshot");
-  }
   uint32_t endian_tag;
   uint32_t section_count;
   uint64_t file_size;
@@ -201,28 +236,28 @@ Result<SnapshotLayout> ParseSnapshotLayout(std::span<const std::byte> bytes) {
   std::memcpy(&checksum, p + 24, sizeof(checksum));
   if (endian_tag != kEndianTag) {
     return Status::InvalidArgument(
-        "TENETKB2 snapshot written with a different byte order");
+        "TENETKB3 snapshot written with a different byte order");
   }
   if (file_size != bytes.size()) {
     return Status::InvalidArgument(
-        "TENETKB2 size mismatch (truncated or trailing bytes): declared " +
+        "TENETKB3 size mismatch (truncated or trailing bytes): declared " +
         std::to_string(file_size) + ", actual " +
         std::to_string(bytes.size()));
   }
-  if (section_count < kNumKnownSections || section_count > 64) {
-    return Status::InvalidArgument("implausible TENETKB2 section count");
+  if (section_count < kNumRequiredSections ||
+      section_count > kNumRequiredSections + 1) {
+    return Status::InvalidArgument("implausible TENETKB3 section count");
   }
   size_t table_bytes = kSectionEntryBytes * section_count;
   if (bytes.size() < kHeaderBytes + table_bytes) {
-    return Status::InvalidArgument("truncated TENETKB2 section table");
+    return Status::InvalidArgument("truncated TENETKB3 section table");
   }
   const unsigned char* table =
       reinterpret_cast<const unsigned char*>(p + kHeaderBytes);
   if (Fnv1a64(table, table_bytes) != checksum) {
-    return Status::InvalidArgument("TENETKB2 header checksum mismatch");
+    return Status::InvalidArgument("TENETKB3 header checksum mismatch");
   }
   SnapshotLayout layout;
-  std::array<bool, kNumKnownSections> seen{};
   for (uint32_t i = 0; i < section_count; ++i) {
     const unsigned char* e = table + i * kSectionEntryBytes;
     SectionEntry entry;
@@ -230,28 +265,30 @@ Result<SnapshotLayout> ParseSnapshotLayout(std::span<const std::byte> bytes) {
     std::memcpy(&entry.offset, e + 8, sizeof(entry.offset));
     std::memcpy(&entry.byte_size, e + 16, sizeof(entry.byte_size));
     std::memcpy(&entry.item_count, e + 24, sizeof(entry.item_count));
+    if (std::string_view(SectionName(entry.id)) == "unknown") {
+      return Status::InvalidArgument("unknown TENETKB3 section id " +
+                                     std::to_string(entry.id));
+    }
     if (entry.offset < kHeaderBytes + table_bytes ||
         entry.offset > bytes.size() ||
         entry.byte_size > bytes.size() - entry.offset) {
       return Status::InvalidArgument(
-          std::string("TENETKB2 section out of bounds: ") +
+          std::string("TENETKB3 section out of bounds: ") +
           SectionName(entry.id));
     }
-    layout.all.push_back(entry);
-    if (entry.id >= 1 && entry.id <= kNumKnownSections) {
-      if (seen[entry.id - 1]) {
-        return Status::InvalidArgument(
-            std::string("duplicate TENETKB2 section: ") +
-            SectionName(entry.id));
-      }
-      seen[entry.id - 1] = true;
-      layout.known[entry.id - 1] = entry;
-    }
-  }
-  for (uint32_t id = 1; id <= kNumKnownSections; ++id) {
-    if (!seen[id - 1]) {
+    if (layout.present[entry.id]) {
       return Status::InvalidArgument(
-          std::string("missing TENETKB2 section: ") + SectionName(id));
+          std::string("duplicate TENETKB3 section: ") +
+          SectionName(entry.id));
+    }
+    layout.present[entry.id] = true;
+    layout.by_id[entry.id] = entry;
+    layout.all.push_back(entry);
+  }
+  for (SectionId id : kRequiredSections) {
+    if (!layout.present[id]) {
+      return Status::InvalidArgument(
+          std::string("missing TENETKB3 section: ") + SectionName(id));
     }
   }
   return layout;
@@ -299,13 +336,6 @@ struct ShardInfo {
   int64_t global_facts = 0;
 };
 
-const SectionEntry* FindSection(const SnapshotLayout& layout, uint32_t id) {
-  for (const SectionEntry& entry : layout.all) {
-    if (entry.id == id) return &entry;
-  }
-  return nullptr;
-}
-
 Result<ShardInfo> ParseShardInfo(std::span<const std::byte> bytes,
                                  const SectionEntry& entry) {
   if (entry.byte_size != kShardInfoBytes || entry.item_count != 1) {
@@ -327,30 +357,6 @@ Result<ShardInfo> ParseShardInfo(std::span<const std::byte> bytes,
     return Status::InvalidArgument("implausible shard_info values");
   }
   return info;
-}
-
-// Locates the optional alias_dict section, enforcing the invariants the
-// table parser doesn't know about: at most one occurrence, and mutual
-// exclusion with legacy alias records (a file carrying both has two
-// authorities for the same data — reject rather than pick one).
-Result<const SectionEntry*> FindAliasDictSection(
-    const SnapshotLayout& layout) {
-  const SectionEntry* found = nullptr;
-  for (const SectionEntry& entry : layout.all) {
-    if (entry.id != kSectionAliasDict) continue;
-    if (found != nullptr) {
-      return Status::InvalidArgument(
-          "duplicate TENETKB2 section: alias_dict");
-    }
-    found = &entry;
-  }
-  if (found != nullptr &&
-      layout.known[kSectionAliases - 1].item_count != 0) {
-    return Status::InvalidArgument(
-        "snapshot carries both an alias dictionary and legacy alias "
-        "records");
-  }
-  return found;
 }
 
 // The alias_dict payload as the unsigned-char span FrozenAliasDict::Parse
@@ -395,12 +401,7 @@ Status CheckRecordSection(const SectionEntry& entry, const char* what) {
   return Status::Ok();
 }
 
-// ---- text (v1) helpers ----------------------------------------------------
-
-bool HasForbiddenChars(const std::string& s) {
-  return s.find('\t') != std::string::npos ||
-         s.find('\n') != std::string::npos;
-}
+// ---- manifest (text) helpers ----------------------------------------------
 
 // Reads one line, failing with context when the stream is exhausted.
 Result<std::string> ReadLine(std::istream& in, const char* what) {
@@ -436,15 +437,6 @@ Result<int64_t> ParseInt(const std::string& s, const char* what) {
   return value;
 }
 
-Result<double> ParseDouble(const std::string& s, const char* what) {
-  Result<double> value = ParseFloat64(s);
-  if (!value.ok()) {
-    return Status::InvalidArgument(std::string("bad number in ") + what +
-                                   ": " + s);
-  }
-  return value;
-}
-
 // ---- load metrics ---------------------------------------------------------
 
 void RecordLoad(const char* store, const char* format, double ms,
@@ -465,15 +457,28 @@ void RecordLoad(const char* store, const char* format, double ms,
   }
 }
 
-// ---- TENETKB2 writer ------------------------------------------------------
+// ---- TENETKB3 writer ------------------------------------------------------
 
-Status SaveKnowledgeBaseBinary(const KnowledgeBase& kb,
-                               const std::string& path) {
+// What one TENETKB3 file holds.  Flat and shard snapshots share every
+// section; a shard snapshot adds shard_info and keeps each fact's global
+// id in the fact record's trailing word (zero padding in flat snapshots).
+// Entity/predicate records are the shard's local subsequence; concept ids
+// in postings and facts are global.
+struct SnapshotContents {
+  std::span<const EntityRecord> entities;
+  std::span<const PredicateRecord> predicates;
+  const AliasIndex* aliases = nullptr;
+  std::span<const Triple> facts;
+  const ShardInfo* shard = nullptr;   // shard snapshots only
+  std::span<const int64_t> fact_ids;  // parallel to facts, shards only
+};
+
+Status WriteSnapshot(const SnapshotContents& contents,
+                     const std::string& path) {
   StringTableBuilder strings;
 
   ByteWriter entities;
-  for (EntityId id = 0; id < kb.num_entities(); ++id) {
-    const EntityRecord& rec = kb.entity(id);
+  for (const EntityRecord& rec : contents.entities) {
     entities.Append<uint32_t>(strings.Intern(rec.label));
     entities.Append<int32_t>(static_cast<int32_t>(rec.type));
     entities.Append<int32_t>(rec.domain);
@@ -482,8 +487,7 @@ Status SaveKnowledgeBaseBinary(const KnowledgeBase& kb,
   }
 
   ByteWriter predicates;
-  for (PredicateId id = 0; id < kb.num_predicates(); ++id) {
-    const PredicateRecord& rec = kb.predicate(id);
+  for (const PredicateRecord& rec : contents.predicates) {
     predicates.Append<uint32_t>(strings.Intern(rec.label));
     predicates.Append<int32_t>(rec.domain);
     predicates.Append<int32_t>(0);
@@ -491,75 +495,88 @@ Status SaveKnowledgeBaseBinary(const KnowledgeBase& kb,
     predicates.Append<double>(rec.popularity);
   }
 
-  // Postings are persisted as the frozen alias dictionary (section id 7):
-  // finalized priors in their finalized (descending-prior) order, surfaces
-  // sorted by folded bytes — so two builds of the same KB emit
-  // byte-identical snapshots.  The loader restores bit-exactly instead of
-  // renormalizing (see AliasIndex::FinalizeMode::kRestorePriors).  The
-  // legacy aliases section stays in the table, empty.
-  ByteWriter aliases;
-  std::shared_ptr<const FrozenAliasDict> dict =
-      kb.alias_index().SerializableDict();
-  std::vector<unsigned char> dict_bytes = dict->Serialize();
-  ByteWriter alias_dict;
-  alias_dict.AppendBytes(dict_bytes.data(), dict_bytes.size());
-
   ByteWriter facts;
-  for (const Triple& t : kb.facts()) {
+  for (size_t pos = 0; pos < contents.facts.size(); ++pos) {
+    const Triple& t = contents.facts[pos];
     facts.Append<int32_t>(t.subject);
     facts.Append<int32_t>(t.predicate);
     facts.Append<int32_t>(t.object_is_entity ? 0 : 1);
     facts.Append<int32_t>(t.object_is_entity ? t.object_entity : 0);
     facts.Append<uint32_t>(
         t.object_is_entity ? 0 : strings.Intern(t.object_literal));
-    facts.Append<uint32_t>(0);
+    facts.Append<uint32_t>(
+        contents.shard != nullptr
+            ? static_cast<uint32_t>(contents.fact_ids[pos])
+            : 0);
   }
+
+  ByteWriter shard_info;
+  if (const ShardInfo* info = contents.shard) {
+    shard_info.Append<uint32_t>(info->num_shards);
+    shard_info.Append<uint32_t>(info->shard_index);
+    shard_info.Append<int64_t>(info->global_entities);
+    shard_info.Append<int64_t>(info->global_predicates);
+    shard_info.Append<int64_t>(info->global_facts);
+  }
+
+  // Postings are persisted as the frozen alias dictionary: finalized priors
+  // in their finalized order, surfaces sorted by folded bytes — so two
+  // builds of the same KB emit byte-identical snapshots.  Loaders adopt it
+  // as is; nothing is renormalized.
+  std::shared_ptr<const FrozenAliasDict> dict =
+      contents.aliases->SerializableDict();
+  const std::vector<unsigned char> alias_dict = dict->Serialize();
 
   ByteWriter string_table;
   strings.Serialize(&string_table);
 
   struct Pending {
     uint32_t id;
-    const ByteWriter* payload;
+    const unsigned char* data;
+    size_t size;
     uint64_t item_count;
   };
-  constexpr uint32_t kNumFlatSections = kNumKnownSections + 1;
-  const Pending sections[kNumFlatSections] = {
-      {kSectionStrings, &string_table, strings.size()},
-      {kSectionEntities, &entities,
-       static_cast<uint64_t>(kb.num_entities())},
-      {kSectionPredicates, &predicates,
-       static_cast<uint64_t>(kb.num_predicates())},
-      {kSectionAliases, &aliases, 0},
-      {kSectionFacts, &facts, static_cast<uint64_t>(kb.num_facts())},
-      {kSectionAliasDict, &alias_dict, dict->num_postings()},
+  std::vector<Pending> sections = {
+      {kSectionStrings, string_table.data(), string_table.size(),
+       strings.size()},
+      {kSectionEntities, entities.data(), entities.size(),
+       contents.entities.size()},
+      {kSectionPredicates, predicates.data(), predicates.size(),
+       contents.predicates.size()},
+      {kSectionFacts, facts.data(), facts.size(), contents.facts.size()},
   };
+  if (contents.shard != nullptr) {
+    sections.push_back(
+        {kSectionShardInfo, shard_info.data(), shard_info.size(), 1});
+  }
+  sections.push_back({kSectionAliasDict, alias_dict.data(), alias_dict.size(),
+                      dict->num_postings()});
 
   ByteWriter table;
-  uint64_t offset = kHeaderBytes + kNumFlatSections * kSectionEntryBytes;
+  uint64_t offset = kHeaderBytes + sections.size() * kSectionEntryBytes;
   for (const Pending& s : sections) {
     table.Append<uint32_t>(s.id);
     table.Append<uint32_t>(0);
     table.Append<uint64_t>(offset);
-    table.Append<uint64_t>(static_cast<uint64_t>(s.payload->size()));
+    table.Append<uint64_t>(static_cast<uint64_t>(s.size));
     table.Append<uint64_t>(s.item_count);
-    offset += (s.payload->size() + 7) & ~uint64_t{7};  // 8-byte aligned
+    offset += (s.size + 7) & ~uint64_t{7};  // 8-byte aligned
   }
   const uint64_t file_size = offset;
 
   // The whole snapshot is assembled in memory and lands on disk through
-  // AtomicWriteFile (temp + fsync + rename): a crash mid-write can no
-  // longer tear `path` — the previous snapshot stays readable until the
-  // rename, and the rename is atomic.
+  // AtomicWriteFile (temp + fsync + rename): a crash mid-write can never
+  // tear `path` — the previous snapshot stays readable until the rename,
+  // and the rename is atomic.
   ByteWriter file;
-  file.AppendBytes(kKbMagicV2, sizeof(kKbMagicV2));
+  file.AppendBytes(kKbMagic, sizeof(kKbMagic));
   file.Append<uint32_t>(kEndianTag);
-  file.Append<uint32_t>(kNumFlatSections);
+  file.Append<uint32_t>(static_cast<uint32_t>(sections.size()));
   file.Append<uint64_t>(file_size);
   file.Append<uint64_t>(Fnv1a64(table.data(), table.size()));
   file.AppendBytes(table.data(), table.size());
   for (const Pending& s : sections) {
-    file.AppendBytes(s.payload->data(), s.payload->size());
+    file.AppendBytes(s.data, s.size);
     file.PadTo8();
   }
   TENET_CHECK_EQ(file.size(), file_size);
@@ -570,20 +587,100 @@ Status SaveKnowledgeBaseBinary(const KnowledgeBase& kb,
   return AtomicWriteFile(path, file.data(), file.size());
 }
 
-// ---- TENETKB2 reader ------------------------------------------------------
+// ---- TENETKB3 decoder -----------------------------------------------------
 
-Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
-                                              const KbLoadOptions& options) {
-  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout, ParseSnapshotLayout(bytes));
-  if (FindSection(layout, kSectionShardInfo) != nullptr) {
-    return Status::InvalidArgument(
-        "snapshot is one shard of a sharded KB; load the whole layout via "
-        "its TENETKBSHARDS1 manifest (ShardedKb::Load)");
+// Decoder targets.  A flat snapshot decodes straight into the
+// KnowledgeBase it becomes; a shard snapshot into its ShardedKb::Shard.
+// Both receive records the decoder has already validated.
+struct KnowledgeBaseSink {
+  KnowledgeBase& kb;
+
+  void Reserve(int32_t entities, int32_t predicates, int32_t facts) {
+    kb.Reserve(entities, predicates, facts);
   }
+  void AddEntity(std::string_view label, EntityType type, int32_t domain,
+                 double popularity) {
+    kb.AddEntity(label, type, domain, popularity,
+                 /*register_label_alias=*/false);
+  }
+  void AddPredicate(std::string_view label, int32_t domain,
+                    double popularity) {
+    kb.AddPredicate(label, domain, popularity,
+                    /*register_label_alias=*/false);
+  }
+  void AdoptAliases(std::shared_ptr<const FrozenAliasDict> dict) {
+    kb.AdoptAliasState(std::move(dict), {});
+  }
+  Status AddFact(EntityId subject, PredicateId predicate, EntityId object,
+                 int64_t /*fact_id*/) {
+    return kb.AddFact(subject, predicate, object);
+  }
+  Status AddLiteralFact(EntityId subject, PredicateId predicate,
+                        std::string_view literal, int64_t /*fact_id*/) {
+    return kb.AddLiteralFact(subject, predicate, literal);
+  }
+};
+
+struct ShardSink {
+  ShardedKb::Shard& shard;
+
+  void Reserve(int32_t entities, int32_t predicates, int32_t facts) {
+    shard.entities.reserve(entities);
+    shard.predicates.reserve(predicates);
+    shard.facts.reserve(facts);
+    shard.fact_ids.reserve(facts);
+  }
+  void AddEntity(std::string_view label, EntityType type, int32_t domain,
+                 double popularity) {
+    shard.entities.push_back(
+        EntityRecord{std::string(label), type, domain, popularity});
+  }
+  void AddPredicate(std::string_view label, int32_t domain,
+                    double popularity) {
+    shard.predicates.push_back(
+        PredicateRecord{std::string(label), domain, popularity});
+  }
+  void AdoptAliases(std::shared_ptr<const FrozenAliasDict> dict) {
+    shard.alias_index.AdoptFrozen(std::move(dict), {});
+  }
+  Status AddFact(EntityId subject, PredicateId predicate, EntityId object,
+                 int64_t fact_id) {
+    Triple t;
+    t.subject = subject;
+    t.predicate = predicate;
+    t.object_entity = object;
+    t.object_is_entity = true;
+    shard.facts.push_back(std::move(t));
+    shard.fact_ids.push_back(fact_id);
+    return Status::Ok();
+  }
+  Status AddLiteralFact(EntityId subject, PredicateId predicate,
+                        std::string_view literal, int64_t fact_id) {
+    Triple t;
+    t.subject = subject;
+    t.predicate = predicate;
+    t.object_literal = std::string(literal);
+    t.object_is_entity = false;
+    shard.facts.push_back(std::move(t));
+    shard.fact_ids.push_back(fact_id);
+    return Status::Ok();
+  }
+};
+
+// Validates every record of a mapped TENETKB3 snapshot and hands it to
+// `sink`.  `shard` is null for a flat snapshot.  For a shard snapshot it is
+// the validated shard_info: concept ids are then checked against its
+// global counts, the local record counts against the strided layout, and
+// the facts' global ids for being ascending and in range.  Any defect
+// yields InvalidArgument; the sink may then hold a partial decode, which
+// the callers drop.
+template <typename Sink>
+Status DecodeSnapshot(std::span<const std::byte> bytes,
+                      const SnapshotLayout& layout, const ShardInfo* shard,
+                      Sink& sink) {
   TENET_ASSIGN_OR_RETURN(
       std::vector<std::string_view> strings,
-      ParseStringTable(bytes, layout.known[kSectionStrings - 1]));
-
+      ParseStringTable(bytes, layout.section(kSectionStrings)));
   auto string_at = [&strings](uint32_t ref,
                               const char* what) -> Result<std::string_view> {
     if (ref >= strings.size()) {
@@ -593,19 +690,34 @@ Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
     return strings[ref];
   };
 
-  KnowledgeBase kb;
-
-  const SectionEntry& entities = layout.known[kSectionEntities - 1];
+  const SectionEntry& entities = layout.section(kSectionEntities);
+  const SectionEntry& predicates = layout.section(kSectionPredicates);
+  const SectionEntry& facts = layout.section(kSectionFacts);
   TENET_RETURN_IF_ERROR(CheckRecordSection(entities, "entities"));
-  {
-    const SectionEntry& predicates = layout.known[kSectionPredicates - 1];
-    const SectionEntry& facts = layout.known[kSectionFacts - 1];
-    TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
-    TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
-    kb.Reserve(static_cast<int32_t>(entities.item_count),
+  TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
+  TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
+  // Concept ids in postings and facts are global: the whole KB's for a
+  // flat snapshot, shard_info's for a shard.
+  int64_t num_entities = static_cast<int64_t>(entities.item_count);
+  int64_t num_predicates = static_cast<int64_t>(predicates.item_count);
+  if (shard != nullptr) {
+    const uint32_t n = shard->num_shards;
+    const uint32_t s = shard->shard_index;
+    if (num_entities != LocalShardCount(shard->global_entities, n, s)) {
+      return Status::InvalidArgument(
+          "shard entity count disagrees with the strided layout");
+    }
+    if (num_predicates != LocalShardCount(shard->global_predicates, n, s)) {
+      return Status::InvalidArgument(
+          "shard predicate count disagrees with the strided layout");
+    }
+    num_entities = shard->global_entities;
+    num_predicates = shard->global_predicates;
+  }
+  sink.Reserve(static_cast<int32_t>(entities.item_count),
                static_cast<int32_t>(predicates.item_count),
                static_cast<int32_t>(facts.item_count));
-  }
+
   RecordReader entity_reader(bytes.subspan(entities.offset));
   for (uint64_t i = 0; i < entities.item_count; ++i) {
     uint32_t label_ref = entity_reader.Read<uint32_t>();
@@ -621,12 +733,9 @@ Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
     if (!std::isfinite(popularity) || popularity <= 0.0) {
       return Status::InvalidArgument("non-positive entity popularity");
     }
-    kb.AddEntity(label, static_cast<EntityType>(type), domain, popularity,
-                 /*register_label_alias=*/false);
+    sink.AddEntity(label, static_cast<EntityType>(type), domain, popularity);
   }
 
-  const SectionEntry& predicates = layout.known[kSectionPredicates - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
   RecordReader predicate_reader(bytes.subspan(predicates.offset));
   for (uint64_t i = 0; i < predicates.item_count; ++i) {
     uint32_t label_ref = predicate_reader.Read<uint32_t>();
@@ -639,360 +748,28 @@ Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
     if (!std::isfinite(popularity) || popularity <= 0.0) {
       return Status::InvalidArgument("non-positive predicate popularity");
     }
-    kb.AddPredicate(label, domain, popularity,
-                    /*register_label_alias=*/false);
+    sink.AddPredicate(label, domain, popularity);
   }
 
-  // Alias storage: snapshots of the dictionary era carry a frozen
-  // alias_dict section, parsed and adopted wholesale (the legacy section is
-  // then required empty — see FindAliasDictSection).  Older snapshots keep
-  // their alias records in the legacy section; decoding builds one flat
-  // RestoreEntry array whose views borrow the mapped string table, and the
-  // whole batch moves into the index via the bulk restore path — the
-  // dictionary is then compiled in memory by Finalize.
-  TENET_ASSIGN_OR_RETURN(const SectionEntry* dict_entry,
-                         FindAliasDictSection(layout));
-  const SectionEntry& aliases = layout.known[kSectionAliases - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(aliases, "aliases"));
-  if (dict_entry != nullptr) {
-    FrozenAliasDict::ParseLimits limits;
-    limits.num_entities = kb.num_entities();
-    limits.num_predicates = kb.num_predicates();
-    TENET_ASSIGN_OR_RETURN(
-        std::shared_ptr<const FrozenAliasDict> dict,
-        FrozenAliasDict::Parse(AliasDictPayload(bytes, *dict_entry),
-                               limits));
-    if (dict->num_postings() != dict_entry->item_count) {
-      return Status::InvalidArgument(
-          "alias_dict item count disagrees with its payload");
-    }
-    kb.AdoptAliasState(std::move(dict), {});
-  } else {
-    RecordReader alias_reader(bytes.subspan(aliases.offset));
-    std::vector<AliasIndex::RestoreEntry> restore_entries;
-    restore_entries.reserve(static_cast<size_t>(aliases.item_count));
-    for (uint64_t i = 0; i < aliases.item_count; ++i) {
-      uint32_t surface_ref = alias_reader.Read<uint32_t>();
-      int32_t concept_id = alias_reader.Read<int32_t>();
-      int32_t kind = alias_reader.Read<int32_t>();
-      alias_reader.Read<int32_t>();  // padding
-      double prior = alias_reader.Read<double>();
-      TENET_ASSIGN_OR_RETURN(std::string_view surface,
-                             string_at(surface_ref, "aliases"));
-      if (!std::isfinite(prior) || prior <= 0.0) {
-        return Status::InvalidArgument("non-positive alias prior");
-      }
-      if (kind == 0) {
-        if (concept_id < 0 || concept_id >= kb.num_entities()) {
-          return Status::InvalidArgument("alias refers to unknown entity");
-        }
-      } else if (kind == 1) {
-        if (concept_id < 0 || concept_id >= kb.num_predicates()) {
-          return Status::InvalidArgument("alias refers to unknown predicate");
-        }
-      } else {
-        return Status::InvalidArgument("bad alias concept kind");
-      }
-      restore_entries.push_back(AliasIndex::RestoreEntry{
-          surface,
-          AliasPosting{kind == 0 ? ConceptRef::Entity(concept_id)
-                                 : ConceptRef::Predicate(concept_id),
-                       prior}});
-    }
-    // The views borrow the mapped string table, valid until `file` dies —
-    // well past this call.
-    kb.RestoreAliasPostings(restore_entries, options.pool);
+  // Parse checks every posting's id range — and, for a shard, that the
+  // concept is homed here.
+  const SectionEntry& dict_entry = layout.section(kSectionAliasDict);
+  FrozenAliasDict::ParseLimits limits;
+  limits.num_entities = num_entities;
+  limits.num_predicates = num_predicates;
+  if (shard != nullptr) {
+    limits.num_shards = shard->num_shards;
+    limits.shard_index = shard->shard_index;
   }
-
-  const SectionEntry& facts = layout.known[kSectionFacts - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
-  RecordReader fact_reader(bytes.subspan(facts.offset));
-  for (uint64_t i = 0; i < facts.item_count; ++i) {
-    int32_t subject = fact_reader.Read<int32_t>();
-    int32_t predicate = fact_reader.Read<int32_t>();
-    int32_t object_kind = fact_reader.Read<int32_t>();
-    int32_t object_entity = fact_reader.Read<int32_t>();
-    uint32_t literal_ref = fact_reader.Read<uint32_t>();
-    fact_reader.Read<uint32_t>();  // padding
-    if (object_kind == 0) {
-      TENET_RETURN_IF_ERROR(kb.AddFact(subject, predicate, object_entity));
-    } else if (object_kind == 1) {
-      TENET_ASSIGN_OR_RETURN(std::string_view literal,
-                             string_at(literal_ref, "facts"));
-      TENET_RETURN_IF_ERROR(kb.AddLiteralFact(subject, predicate, literal));
-    } else {
-      return Status::InvalidArgument("bad fact object kind");
-    }
-  }
-
-  kb.Finalize(KnowledgeBase::FinalizeOptions{
-      AliasIndex::FinalizeMode::kRestorePriors, options.pool});
-  return kb;
-}
-
-// ---- sharded layout (TENETKB2 shards + TENETKBSHARDS1 manifest) -----------
-//
-// Each shard is a self-contained TENETKB2 snapshot carrying the standard
-// five sections — entity/predicate sections hold the shard's *local* record
-// subsequence, alias and fact sections hold *global* concept ids, and each
-// fact record's trailing word (padding in flat snapshots) holds the fact's
-// global id — plus a shard_info section (id 6) naming the layout.  A text
-// manifest ties the shard files together and records the global counts.
-
-Status SaveShardBinary(const ShardedKb::Shard& shard, const ShardInfo& info,
-                       const std::string& path) {
-  StringTableBuilder strings;
-
-  ByteWriter entities;
-  for (const EntityRecord& rec : shard.entities) {
-    entities.Append<uint32_t>(strings.Intern(rec.label));
-    entities.Append<int32_t>(static_cast<int32_t>(rec.type));
-    entities.Append<int32_t>(rec.domain);
-    entities.Append<int32_t>(0);
-    entities.Append<double>(rec.popularity);
-  }
-
-  ByteWriter predicates;
-  for (const PredicateRecord& rec : shard.predicates) {
-    predicates.Append<uint32_t>(strings.Intern(rec.label));
-    predicates.Append<int32_t>(rec.domain);
-    predicates.Append<int32_t>(0);
-    predicates.Append<int32_t>(0);
-    predicates.Append<double>(rec.popularity);
-  }
-
-  // Per-shard snapshots carry their own frozen dictionary over the shard's
-  // homed postings; the legacy aliases section stays present but empty.
-  ByteWriter aliases;
-  std::shared_ptr<const FrozenAliasDict> dict =
-      shard.alias_index.SerializableDict();
-  std::vector<unsigned char> dict_bytes = dict->Serialize();
-  ByteWriter alias_dict;
-  alias_dict.AppendBytes(dict_bytes.data(), dict_bytes.size());
-
-  ByteWriter facts;
-  for (size_t pos = 0; pos < shard.facts.size(); ++pos) {
-    const Triple& t = shard.facts[pos];
-    facts.Append<int32_t>(t.subject);
-    facts.Append<int32_t>(t.predicate);
-    facts.Append<int32_t>(t.object_is_entity ? 0 : 1);
-    facts.Append<int32_t>(t.object_is_entity ? t.object_entity : 0);
-    facts.Append<uint32_t>(
-        t.object_is_entity ? 0 : strings.Intern(t.object_literal));
-    facts.Append<uint32_t>(static_cast<uint32_t>(shard.fact_ids[pos]));
-  }
-
-  ByteWriter shard_info;
-  shard_info.Append<uint32_t>(info.num_shards);
-  shard_info.Append<uint32_t>(info.shard_index);
-  shard_info.Append<int64_t>(info.global_entities);
-  shard_info.Append<int64_t>(info.global_predicates);
-  shard_info.Append<int64_t>(info.global_facts);
-
-  ByteWriter string_table;
-  strings.Serialize(&string_table);
-
-  struct Pending {
-    uint32_t id;
-    const ByteWriter* payload;
-    uint64_t item_count;
-  };
-  constexpr uint32_t kNumShardSections = kNumKnownSections + 2;
-  const Pending sections[kNumShardSections] = {
-      {kSectionStrings, &string_table, strings.size()},
-      {kSectionEntities, &entities,
-       static_cast<uint64_t>(shard.entities.size())},
-      {kSectionPredicates, &predicates,
-       static_cast<uint64_t>(shard.predicates.size())},
-      {kSectionAliases, &aliases, 0},
-      {kSectionFacts, &facts, static_cast<uint64_t>(shard.facts.size())},
-      {kSectionShardInfo, &shard_info, 1},
-      {kSectionAliasDict, &alias_dict, dict->num_postings()},
-  };
-
-  ByteWriter table;
-  uint64_t offset = kHeaderBytes + kNumShardSections * kSectionEntryBytes;
-  for (const Pending& s : sections) {
-    table.Append<uint32_t>(s.id);
-    table.Append<uint32_t>(0);
-    table.Append<uint64_t>(offset);
-    table.Append<uint64_t>(static_cast<uint64_t>(s.payload->size()));
-    table.Append<uint64_t>(s.item_count);
-    offset += (s.payload->size() + 7) & ~uint64_t{7};
-  }
-  const uint64_t file_size = offset;
-
-  ByteWriter file;
-  file.AppendBytes(kKbMagicV2, sizeof(kKbMagicV2));
-  file.Append<uint32_t>(kEndianTag);
-  file.Append<uint32_t>(kNumShardSections);
-  file.Append<uint64_t>(file_size);
-  file.Append<uint64_t>(Fnv1a64(table.data(), table.size()));
-  file.AppendBytes(table.data(), table.size());
-  for (const Pending& s : sections) {
-    file.AppendBytes(s.payload->data(), s.payload->size());
-    file.PadTo8();
-  }
-  TENET_CHECK_EQ(file.size(), file_size);
-
-  if (TENET_FAULT_POINT("kb/io/write_truncation")) {
-    return SimulateTornWrite(path, file.data(), file.size(), "shard");
-  }
-  return AtomicWriteFile(path, file.data(), file.size());
-}
-
-Result<ShardedKb::Shard> LoadShardBinary(std::span<const std::byte> bytes,
-                                         const KbLoadOptions& options,
-                                         uint32_t expected_shards,
-                                         uint32_t expected_index,
-                                         ShardInfo* out_info) {
-  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout, ParseSnapshotLayout(bytes));
-  const SectionEntry* info_entry = FindSection(layout, kSectionShardInfo);
-  if (info_entry == nullptr) {
-    return Status::InvalidArgument(
-        "snapshot named by a shard manifest has no shard_info section");
-  }
-  TENET_ASSIGN_OR_RETURN(ShardInfo info, ParseShardInfo(bytes, *info_entry));
-  if (info.num_shards != expected_shards ||
-      info.shard_index != expected_index) {
-    return Status::InvalidArgument(
-        "shard_info disagrees with the manifest: file claims shard " +
-        std::to_string(info.shard_index) + "/" +
-        std::to_string(info.num_shards) + ", manifest expects " +
-        std::to_string(expected_index) + "/" +
-        std::to_string(expected_shards));
-  }
-  const uint32_t n = info.num_shards;
-  const uint32_t s = info.shard_index;
   TENET_ASSIGN_OR_RETURN(
-      std::vector<std::string_view> strings,
-      ParseStringTable(bytes, layout.known[kSectionStrings - 1]));
-  auto string_at = [&strings](uint32_t ref,
-                              const char* what) -> Result<std::string_view> {
-    if (ref >= strings.size()) {
-      return Status::InvalidArgument(
-          std::string("string reference out of range in ") + what);
-    }
-    return strings[ref];
-  };
-
-  ShardedKb::Shard shard;
-
-  const SectionEntry& entities = layout.known[kSectionEntities - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(entities, "entities"));
-  if (static_cast<int64_t>(entities.item_count) !=
-      LocalShardCount(info.global_entities, n, s)) {
+      std::shared_ptr<const FrozenAliasDict> dict,
+      FrozenAliasDict::Parse(AliasDictPayload(bytes, dict_entry), limits));
+  if (dict->num_postings() != dict_entry.item_count) {
     return Status::InvalidArgument(
-        "shard entity count disagrees with the strided layout");
+        "alias_dict item count disagrees with its payload");
   }
-  shard.entities.reserve(entities.item_count);
-  RecordReader entity_reader(bytes.subspan(entities.offset));
-  for (uint64_t i = 0; i < entities.item_count; ++i) {
-    uint32_t label_ref = entity_reader.Read<uint32_t>();
-    int32_t type = entity_reader.Read<int32_t>();
-    int32_t domain = entity_reader.Read<int32_t>();
-    entity_reader.Read<int32_t>();  // padding
-    double popularity = entity_reader.Read<double>();
-    TENET_ASSIGN_OR_RETURN(std::string_view label,
-                           string_at(label_ref, "entities"));
-    if (type < 0 || type >= kNumEntityTypes) {
-      return Status::InvalidArgument("bad entity type in shard snapshot");
-    }
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive entity popularity");
-    }
-    shard.entities.push_back(EntityRecord{std::string(label),
-                                          static_cast<EntityType>(type),
-                                          domain, popularity});
-  }
+  sink.AdoptAliases(std::move(dict));
 
-  const SectionEntry& predicates = layout.known[kSectionPredicates - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
-  if (static_cast<int64_t>(predicates.item_count) !=
-      LocalShardCount(info.global_predicates, n, s)) {
-    return Status::InvalidArgument(
-        "shard predicate count disagrees with the strided layout");
-  }
-  shard.predicates.reserve(predicates.item_count);
-  RecordReader predicate_reader(bytes.subspan(predicates.offset));
-  for (uint64_t i = 0; i < predicates.item_count; ++i) {
-    uint32_t label_ref = predicate_reader.Read<uint32_t>();
-    int32_t domain = predicate_reader.Read<int32_t>();
-    predicate_reader.Read<int32_t>();  // padding
-    predicate_reader.Read<int32_t>();  // padding
-    double popularity = predicate_reader.Read<double>();
-    TENET_ASSIGN_OR_RETURN(std::string_view label,
-                           string_at(label_ref, "predicates"));
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive predicate popularity");
-    }
-    shard.predicates.push_back(
-        PredicateRecord{std::string(label), domain, popularity});
-  }
-
-  // Aliases hold GLOBAL concept ids; every posting must be homed here.
-  // Dictionary-era shards adopt their frozen alias_dict section (Parse
-  // enforces range and homing); legacy shards decode the record section
-  // and compile the dictionary in memory.
-  TENET_ASSIGN_OR_RETURN(const SectionEntry* dict_entry,
-                         FindAliasDictSection(layout));
-  const SectionEntry& aliases = layout.known[kSectionAliases - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(aliases, "aliases"));
-  if (dict_entry != nullptr) {
-    FrozenAliasDict::ParseLimits limits;
-    limits.num_entities = info.global_entities;
-    limits.num_predicates = info.global_predicates;
-    limits.num_shards = n;
-    limits.shard_index = s;
-    TENET_ASSIGN_OR_RETURN(
-        std::shared_ptr<const FrozenAliasDict> dict,
-        FrozenAliasDict::Parse(AliasDictPayload(bytes, *dict_entry),
-                               limits));
-    if (dict->num_postings() != dict_entry->item_count) {
-      return Status::InvalidArgument(
-          "alias_dict item count disagrees with its payload");
-    }
-    shard.alias_index.AdoptFrozen(std::move(dict), {});
-  } else {
-    RecordReader alias_reader(bytes.subspan(aliases.offset));
-    std::vector<AliasIndex::RestoreEntry> restore_entries;
-    restore_entries.reserve(static_cast<size_t>(aliases.item_count));
-    for (uint64_t i = 0; i < aliases.item_count; ++i) {
-      uint32_t surface_ref = alias_reader.Read<uint32_t>();
-      int32_t concept_id = alias_reader.Read<int32_t>();
-      int32_t kind = alias_reader.Read<int32_t>();
-      alias_reader.Read<int32_t>();  // padding
-      double prior = alias_reader.Read<double>();
-      TENET_ASSIGN_OR_RETURN(std::string_view surface,
-                             string_at(surface_ref, "aliases"));
-      if (!std::isfinite(prior) || prior <= 0.0) {
-        return Status::InvalidArgument("non-positive alias prior");
-      }
-      int64_t global =
-          kind == 0 ? info.global_entities : info.global_predicates;
-      if (kind != 0 && kind != 1) {
-        return Status::InvalidArgument("bad alias concept kind");
-      }
-      if (concept_id < 0 || concept_id >= global ||
-          static_cast<uint32_t>(concept_id % n) != s) {
-        return Status::InvalidArgument(
-            "alias refers to a concept not homed on this shard");
-      }
-      restore_entries.push_back(AliasIndex::RestoreEntry{
-          surface,
-          AliasPosting{kind == 0 ? ConceptRef::Entity(concept_id)
-                                 : ConceptRef::Predicate(concept_id),
-                       prior}});
-    }
-    shard.alias_index.RestorePostings(restore_entries, options.pool);
-    shard.alias_index.Finalize(AliasIndex::FinalizeMode::kRestorePriors,
-                               options.pool);
-  }
-
-  const SectionEntry& facts = layout.known[kSectionFacts - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
-  shard.facts.reserve(facts.item_count);
-  shard.fact_ids.reserve(facts.item_count);
   RecordReader fact_reader(bytes.subspan(facts.offset));
   int64_t prev_fact_id = -1;
   for (uint64_t i = 0; i < facts.item_count; ++i) {
@@ -1001,43 +778,43 @@ Result<ShardedKb::Shard> LoadShardBinary(std::span<const std::byte> bytes,
     int32_t object_kind = fact_reader.Read<int32_t>();
     int32_t object_entity = fact_reader.Read<int32_t>();
     uint32_t literal_ref = fact_reader.Read<uint32_t>();
-    uint32_t global_fact = fact_reader.Read<uint32_t>();
-    if (subject < 0 || subject >= info.global_entities || predicate < 0 ||
-        predicate >= info.global_predicates) {
-      return Status::InvalidArgument("shard fact refers outside the KB");
+    uint32_t trailing = fact_reader.Read<uint32_t>();  // shard: global id
+    if (subject < 0 || subject >= num_entities || predicate < 0 ||
+        predicate >= num_predicates) {
+      return Status::InvalidArgument("fact refers outside the KB");
     }
-    int64_t fact_id = static_cast<int64_t>(global_fact);
-    if (fact_id >= info.global_facts || fact_id <= prev_fact_id) {
-      return Status::InvalidArgument(
-          "shard fact ids must be ascending globals");
-    }
-    prev_fact_id = fact_id;
-    Triple t;
-    t.subject = subject;
-    t.predicate = predicate;
-    if (object_kind == 0) {
-      if (object_entity < 0 || object_entity >= info.global_entities) {
-        return Status::InvalidArgument("shard fact refers outside the KB");
+    int64_t fact_id = static_cast<int64_t>(i);
+    if (shard != nullptr) {
+      fact_id = static_cast<int64_t>(trailing);
+      if (fact_id >= shard->global_facts || fact_id <= prev_fact_id) {
+        return Status::InvalidArgument(
+            "shard fact ids must be ascending globals");
       }
-      t.object_entity = object_entity;
-      t.object_is_entity = true;
+      prev_fact_id = fact_id;
+    }
+    if (object_kind == 0) {
+      if (object_entity < 0 || object_entity >= num_entities) {
+        return Status::InvalidArgument("fact refers outside the KB");
+      }
+      TENET_RETURN_IF_ERROR(
+          sink.AddFact(subject, predicate, object_entity, fact_id));
     } else if (object_kind == 1) {
       TENET_ASSIGN_OR_RETURN(std::string_view literal,
                              string_at(literal_ref, "facts"));
-      t.object_literal = std::string(literal);
-      t.object_is_entity = false;
+      TENET_RETURN_IF_ERROR(
+          sink.AddLiteralFact(subject, predicate, literal, fact_id));
     } else {
       return Status::InvalidArgument("bad fact object kind");
     }
-    shard.facts.push_back(std::move(t));
-    shard.fact_ids.push_back(fact_id);
   }
-
-  ShardedKb::BuildShardIndexes(shard, static_cast<int>(n),
-                               static_cast<int>(s));
-  if (out_info != nullptr) *out_info = info;
-  return shard;
+  return Status::Ok();
 }
+
+// ---- sharded layout (TENETKB3 shards + TENETKBSHARDS1 manifest) -----------
+//
+// Each shard is a self-contained TENETKB3 snapshot (see SnapshotContents)
+// plus a shard_info section naming the layout.  A text manifest ties the
+// shard files together and records the global counts.
 
 // Parsed TENETKBSHARDS1 manifest: global counts + per-shard file names
 // (relative to the manifest's directory).
@@ -1093,211 +870,53 @@ Result<ShardManifest> ParseShardManifest(const std::string& path) {
   return manifest;
 }
 
-// ---- TENETKB v1 (legacy text) ---------------------------------------------
-
-Status SaveKnowledgeBaseText(const KnowledgeBase& kb,
-                             const std::string& path) {
-  std::ostringstream out;
-
-  // max_digits10 so every double survives the decimal round trip bit-exact.
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  out << kKbMagicV1 << "\n";
-  out << "E\t" << kb.num_entities() << "\n";
-  for (EntityId id = 0; id < kb.num_entities(); ++id) {
-    const EntityRecord& rec = kb.entity(id);
-    if (HasForbiddenChars(rec.label)) {
-      return Status::InvalidArgument("label contains tab/newline: " +
-                                     rec.label);
-    }
-    out << static_cast<int>(rec.type) << '\t' << rec.domain << '\t'
-        << rec.popularity << '\t' << rec.label << "\n";
+// Decodes shard `index` of `manifest` from its mapped snapshot: shard_info
+// must name exactly that slot of that layout.
+Result<ShardedKb::Shard> DecodeShard(std::span<const std::byte> bytes,
+                                     const ShardManifest& manifest,
+                                     int32_t index) {
+  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout, ParseSnapshotLayout(bytes));
+  if (!layout.present[kSectionShardInfo]) {
+    return Status::InvalidArgument(
+        "snapshot named by a shard manifest has no shard_info section");
   }
-  out << "P\t" << kb.num_predicates() << "\n";
-  for (PredicateId id = 0; id < kb.num_predicates(); ++id) {
-    const PredicateRecord& rec = kb.predicate(id);
-    if (HasForbiddenChars(rec.label)) {
-      return Status::InvalidArgument("label contains tab/newline: " +
-                                     rec.label);
-    }
-    out << rec.domain << '\t' << rec.popularity << '\t' << rec.label << "\n";
+  TENET_ASSIGN_OR_RETURN(
+      ShardInfo info,
+      ParseShardInfo(bytes, layout.section(kSectionShardInfo)));
+  if (info.num_shards != static_cast<uint32_t>(manifest.num_shards) ||
+      info.shard_index != static_cast<uint32_t>(index)) {
+    return Status::InvalidArgument(
+        "shard_info disagrees with the manifest: file claims shard " +
+        std::to_string(info.shard_index) + "/" +
+        std::to_string(info.num_shards) + ", manifest expects " +
+        std::to_string(index) + "/" + std::to_string(manifest.num_shards));
   }
-
-  // Postings are persisted as finalized priors; the loader restores them
-  // bit-exactly (renormalization is NOT idempotent in floating point).
-  std::vector<std::string> alias_lines;
-  kb.alias_index().VisitPostings(
-      [&alias_lines](std::string_view surface, const AliasPosting& posting) {
-        std::ostringstream line;
-        line << std::setprecision(std::numeric_limits<double>::max_digits10);
-        line << (posting.concept_ref.is_entity() ? 'E' : 'P') << '\t'
-             << posting.concept_ref.id << '\t' << posting.prior << '\t'
-             << surface;
-        alias_lines.push_back(line.str());
-      });
-  out << "A\t" << alias_lines.size() << "\n";
-  for (const std::string& line : alias_lines) out << line << "\n";
-
-  out << "F\t" << kb.num_facts() << "\n";
-  for (const Triple& t : kb.facts()) {
-    if (t.object_is_entity) {
-      out << t.subject << '\t' << t.predicate << "\tE\t" << t.object_entity
-          << "\n";
-    } else {
-      if (HasForbiddenChars(t.object_literal)) {
-        return Status::InvalidArgument("literal contains tab/newline");
-      }
-      out << t.subject << '\t' << t.predicate << "\tL\t" << t.object_literal
-          << "\n";
-    }
+  if (info.global_entities != manifest.entities ||
+      info.global_predicates != manifest.predicates ||
+      info.global_facts != manifest.facts) {
+    return Status::InvalidArgument(
+        "shard_info globals disagree with the manifest: " +
+        manifest.files[index].first);
   }
-  const std::string bytes = out.str();
-  if (TENET_FAULT_POINT("kb/io/write_truncation")) {
-    return SimulateTornWrite(path, bytes.data(), bytes.size(), "snapshot");
-  }
-  return AtomicWriteFile(path, bytes.data(), bytes.size());
-}
-
-Result<KnowledgeBase> LoadKnowledgeBaseText(const std::string& path,
-                                            const KbLoadOptions& options) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-
-  TENET_ASSIGN_OR_RETURN(std::string magic, ReadLine(in, "magic"));
-  if (magic != kKbMagicV1) {
-    return Status::InvalidArgument("not a TENETKB v1 file: " + path);
-  }
-  KnowledgeBase kb;
-
-  auto read_section = [&in](const char* tag) -> Result<int64_t> {
-    TENET_ASSIGN_OR_RETURN(std::string header, ReadLine(in, tag));
-    std::vector<std::string> fields = SplitTabs(header);
-    if (fields.size() != 2 || fields[0] != tag) {
-      return Status::InvalidArgument(std::string("bad section header for ") +
-                                     tag);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t count, ParseInt(fields[1], tag));
-    if (count < 0) {
-      return Status::InvalidArgument(std::string("negative count in ") + tag);
-    }
-    return count;
-  };
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_entities, read_section("E"));
-  for (int64_t i = 0; i < num_entities; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "entity"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 4) {
-      return Status::InvalidArgument("bad entity line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t type, ParseInt(fields[0], "entity type"));
-    if (type < 0 || type >= kNumEntityTypes) {
-      return Status::InvalidArgument("bad entity type: " + fields[0]);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t domain,
-                           ParseInt(fields[1], "entity domain"));
-    TENET_ASSIGN_OR_RETURN(double popularity,
-                           ParseDouble(fields[2], "entity popularity"));
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive popularity");
-    }
-    kb.AddEntity(fields[3], static_cast<EntityType>(type),
-                 static_cast<int32_t>(domain), popularity,
-                 /*register_label_alias=*/false);
-  }
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_predicates, read_section("P"));
-  for (int64_t i = 0; i < num_predicates; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "predicate"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 3) {
-      return Status::InvalidArgument("bad predicate line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t domain,
-                           ParseInt(fields[0], "predicate domain"));
-    TENET_ASSIGN_OR_RETURN(double popularity,
-                           ParseDouble(fields[1], "predicate popularity"));
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive popularity");
-    }
-    kb.AddPredicate(fields[2], static_cast<int32_t>(domain), popularity,
-                    /*register_label_alias=*/false);
-  }
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_aliases, read_section("A"));
-  for (int64_t i = 0; i < num_aliases; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "alias"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 4 || (fields[0] != "E" && fields[0] != "P")) {
-      return Status::InvalidArgument("bad alias line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t id, ParseInt(fields[1], "alias id"));
-    TENET_ASSIGN_OR_RETURN(double weight,
-                           ParseDouble(fields[2], "alias weight"));
-    if (!std::isfinite(weight) || weight <= 0.0) {
-      return Status::InvalidArgument("non-positive alias weight");
-    }
-    if (fields[0] == "E") {
-      if (id < 0 || id >= kb.num_entities()) {
-        return Status::InvalidArgument("alias refers to unknown entity");
-      }
-      kb.AddEntityAlias(static_cast<EntityId>(id), fields[3], weight);
-    } else {
-      if (id < 0 || id >= kb.num_predicates()) {
-        return Status::InvalidArgument("alias refers to unknown predicate");
-      }
-      kb.AddPredicateAlias(static_cast<PredicateId>(id), fields[3], weight);
-    }
-  }
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_facts, read_section("F"));
-  for (int64_t i = 0; i < num_facts; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "fact"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 4 || (fields[2] != "E" && fields[2] != "L")) {
-      return Status::InvalidArgument("bad fact line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t subject,
-                           ParseInt(fields[0], "fact subject"));
-    TENET_ASSIGN_OR_RETURN(int64_t predicate,
-                           ParseInt(fields[1], "fact predicate"));
-    Status status;
-    if (fields[2] == "E") {
-      TENET_ASSIGN_OR_RETURN(int64_t object,
-                             ParseInt(fields[3], "fact object"));
-      status = kb.AddFact(static_cast<EntityId>(subject),
-                          static_cast<PredicateId>(predicate),
-                          static_cast<EntityId>(object));
-    } else {
-      status = kb.AddLiteralFact(static_cast<EntityId>(subject),
-                                 static_cast<PredicateId>(predicate),
-                                 fields[3]);
-    }
-    TENET_RETURN_IF_ERROR(status);
-  }
-
-  // Declared counts consumed; anything further means the file is longer
-  // than its sections declare — a stitched or corrupt snapshot, not ours.
-  std::string extra;
-  if (std::getline(in, extra)) {
-    return Status::InvalidArgument("trailing garbage after fact section");
-  }
-
-  // The persisted priors are finalized probabilities: restore them exactly
-  // instead of renormalizing (which would drift by an ulp per round trip).
-  kb.Finalize(KnowledgeBase::FinalizeOptions{
-      AliasIndex::FinalizeMode::kRestorePriors, options.pool});
-  return kb;
+  ShardedKb::Shard shard;
+  ShardSink sink{shard};
+  TENET_RETURN_IF_ERROR(DecodeSnapshot(bytes, layout, &info, sink));
+  ShardedKb::BuildShardIndexes(shard, manifest.num_shards, index);
+  return shard;
 }
 
 }  // namespace
 
-Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path,
-                         KbFormat format) {
+Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path) {
   if (!kb.finalized()) {
     return Status::FailedPrecondition("KB must be finalized before saving");
   }
-  return format == KbFormat::kBinaryV2 ? SaveKnowledgeBaseBinary(kb, path)
-                                       : SaveKnowledgeBaseText(kb, path);
+  SnapshotContents contents;
+  contents.entities = kb.entities();
+  contents.predicates = kb.predicates();
+  contents.aliases = &kb.alias_index();
+  contents.facts = kb.facts();
+  return WriteSnapshot(contents, path);
 }
 
 Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
@@ -1306,35 +925,21 @@ Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
     return Status::DataLoss("injected fault: kb load failed: " + path);
   }
   WallTimer timer;
-  // Sniff the magic: binary snapshots go through the mapped path, anything
-  // else through the v1 text parser (whose own magic check rejects
-  // garbage).
-  char magic[sizeof(kKbMagicV2)];
-  size_t sniffed = 0;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return Status::NotFound("cannot open " + path);
-    probe.read(magic, sizeof(magic));
-    sniffed = static_cast<size_t>(probe.gcount());
-  }
-  if (sniffed == sizeof(kKbMagicV2) &&
-      std::memcmp(magic, kKbMagicV2, sizeof(kKbMagicV2)) == 0) {
-    TENET_ASSIGN_OR_RETURN(MmapFile file,
-                           MmapFile::Open(path, options.prefer_mmap));
-    TENET_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                           LoadKnowledgeBaseBinary(file.bytes(), options));
-    RecordLoad("kb", file.zero_copy() ? "binary_mmap" : "binary",
-               timer.ElapsedMillis(), file.zero_copy() ? file.size() : 0);
-    return kb;
-  }
-  if (sniffed == sizeof(magic) &&
-      std::memcmp(magic, kShardManifestMagic, sizeof(magic)) == 0) {
+  TENET_ASSIGN_OR_RETURN(MmapFile file,
+                         MmapFile::Open(path, options.prefer_mmap));
+  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
+                         ParseSnapshotLayout(file.bytes()));
+  if (layout.present[kSectionShardInfo]) {
     return Status::InvalidArgument(
-        "sharded KB manifest; load via ShardedKb::Load: " + path);
+        "snapshot is one shard of a sharded KB; load the whole layout via "
+        "its TENETKBSHARDS1 manifest (ShardedKb::Load)");
   }
-  TENET_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                         LoadKnowledgeBaseText(path, options));
-  RecordLoad("kb", "text", timer.ElapsedMillis(), 0);
+  KnowledgeBase kb;
+  KnowledgeBaseSink sink{kb};
+  TENET_RETURN_IF_ERROR(DecodeSnapshot(file.bytes(), layout, nullptr, sink));
+  kb.Finalize();
+  RecordLoad("kb", file.zero_copy() ? "binary_mmap" : "binary",
+             timer.ElapsedMillis(), file.zero_copy() ? file.size() : 0);
   return kb;
 }
 
@@ -1354,11 +959,18 @@ Status ShardedKb::Save(const std::string& manifest_path) const {
     info.global_entities = num_entities_;
     info.global_predicates = num_predicates_;
     info.global_facts = num_facts_;
-    const std::string kb_name = base + ".s" + std::to_string(s) + ".kb2";
+    const Shard& sh = shard(s);
+    SnapshotContents contents;
+    contents.entities = sh.entities;
+    contents.predicates = sh.predicates;
+    contents.aliases = &sh.alias_index;
+    contents.facts = sh.facts;
+    contents.shard = &info;
+    contents.fact_ids = sh.fact_ids;
+    const std::string kb_name = base + ".s" + std::to_string(s) + ".tenetkb";
     const std::string emb_name = base + ".s" + std::to_string(s) + ".emb";
-    TENET_RETURN_IF_ERROR(SaveShardBinary(shard(s), info, dir + kb_name));
-    TENET_RETURN_IF_ERROR(SaveEmbeddings(*shard(s).embeddings,
-                                         dir + emb_name));
+    TENET_RETURN_IF_ERROR(WriteSnapshot(contents, dir + kb_name));
+    TENET_RETURN_IF_ERROR(SaveEmbeddings(*sh.embeddings, dir + emb_name));
     manifest << kb_name << "\t" << emb_name << "\n";
   }
   // The manifest lands last: a crash mid-save leaves at worst orphan shard
@@ -1387,19 +999,8 @@ Result<ShardedKb> ShardedKb::Load(const std::string& manifest_path,
     TENET_ASSIGN_OR_RETURN(
         MmapFile file,
         MmapFile::Open(dir + manifest.files[s].first, options.prefer_mmap));
-    ShardInfo info;
-    TENET_ASSIGN_OR_RETURN(
-        Shard shard,
-        LoadShardBinary(file.bytes(), options,
-                        static_cast<uint32_t>(manifest.num_shards),
-                        static_cast<uint32_t>(s), &info));
-    if (info.global_entities != manifest.entities ||
-        info.global_predicates != manifest.predicates ||
-        info.global_facts != manifest.facts) {
-      return Status::InvalidArgument(
-          "shard_info globals disagree with the manifest: " +
-          manifest.files[s].first);
-    }
+    TENET_ASSIGN_OR_RETURN(Shard shard,
+                           DecodeShard(file.bytes(), manifest, s));
     TENET_ASSIGN_OR_RETURN(
         embedding::EmbeddingStore embeddings,
         LoadEmbeddings(dir + manifest.files[s].second, options));
@@ -1499,66 +1100,12 @@ Result<embedding::EmbeddingStore> LoadEmbeddings(
 }
 
 Result<KbFileInfo> InspectKnowledgeBaseFile(const std::string& path) {
-  char magic[sizeof(kKbMagicV2)];
-  size_t sniffed = 0;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return Status::NotFound("cannot open " + path);
-    probe.read(magic, sizeof(magic));
-    sniffed = static_cast<size_t>(probe.gcount());
-  }
+  TENET_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
   KbFileInfo info;
-  if (sniffed == sizeof(kKbMagicV2) &&
-      std::memcmp(magic, kKbMagicV2, sizeof(kKbMagicV2)) == 0) {
-    TENET_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-    TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
-                           ParseSnapshotLayout(file.bytes()));
-    info.format = "TENETKB2";
-    info.file_bytes = file.size();
-    for (const SectionEntry& entry : layout.all) {
-      info.sections.push_back(KbSectionInfo{SectionName(entry.id),
-                                            entry.byte_size,
-                                            entry.item_count});
-    }
-    info.entities =
-        static_cast<int64_t>(layout.known[kSectionEntities - 1].item_count);
-    info.predicates = static_cast<int64_t>(
-        layout.known[kSectionPredicates - 1].item_count);
-    info.aliases =
-        static_cast<int64_t>(layout.known[kSectionAliases - 1].item_count);
-    info.facts =
-        static_cast<int64_t>(layout.known[kSectionFacts - 1].item_count);
-    TENET_ASSIGN_OR_RETURN(const SectionEntry* dict_entry,
-                           FindAliasDictSection(layout));
-    if (dict_entry != nullptr) {
-      TENET_ASSIGN_OR_RETURN(
-          FrozenAliasDict::Stats stats,
-          FrozenAliasDict::ReadStats(
-              AliasDictPayload(file.bytes(), *dict_entry)));
-      info.has_alias_dict = true;
-      info.aliases = static_cast<int64_t>(stats.num_postings);
-      info.dict_surfaces = stats.num_surfaces;
-      info.dict_key_bytes = stats.key_blob_bytes;
-      info.dict_raw_key_bytes = stats.raw_key_bytes;
-    }
-    if (const SectionEntry* entry = FindSection(layout, kSectionShardInfo)) {
-      TENET_ASSIGN_OR_RETURN(ShardInfo shard_info,
-                             ParseShardInfo(file.bytes(), *entry));
-      info.num_shards = static_cast<int32_t>(shard_info.num_shards);
-      info.shard_index = static_cast<int32_t>(shard_info.shard_index);
-    }
-    return info;
-  }
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "magic"));
-  if (line == kShardManifestMagic) {
+  info.file_bytes = file.size();
+  if (IsShardManifest(file.bytes())) {
     TENET_ASSIGN_OR_RETURN(ShardManifest manifest, ParseShardManifest(path));
     info.format = kShardManifestMagic;
-    {
-      std::ifstream sizer(path, std::ios::binary | std::ios::ate);
-      info.file_bytes = static_cast<uint64_t>(sizer.tellg());
-    }
     info.num_shards = manifest.num_shards;
     info.entities = manifest.entities;
     info.predicates = manifest.predicates;
@@ -1579,34 +1126,34 @@ Result<KbFileInfo> InspectKnowledgeBaseFile(const std::string& path) {
     }
     return info;
   }
-  if (line != kKbMagicV1) {
-    return Status::InvalidArgument("not a TENET KB file: " + path);
+  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
+                         ParseSnapshotLayout(file.bytes()));
+  info.format = std::string(kKbMagic, sizeof(kKbMagic));
+  for (const SectionEntry& entry : layout.all) {
+    info.sections.push_back(
+        KbSectionInfo{SectionName(entry.id), entry.byte_size,
+                      entry.item_count});
   }
-  info.format = kKbMagicV1;
-  {
-    std::ifstream sizer(path, std::ios::binary | std::ios::ate);
-    info.file_bytes = static_cast<uint64_t>(sizer.tellg());
-  }
-  for (const char* tag : {"E", "P", "A", "F"}) {
-    TENET_ASSIGN_OR_RETURN(std::string header, ReadLine(in, tag));
-    std::vector<std::string> fields = SplitTabs(header);
-    if (fields.size() != 2 || fields[0] != tag) {
-      return Status::InvalidArgument(std::string("bad section header for ") +
-                                     tag);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t count, ParseInt(fields[1], tag));
-    if (count < 0) {
-      return Status::InvalidArgument(std::string("negative count in ") + tag);
-    }
-    for (int64_t i = 0; i < count; ++i) {
-      TENET_RETURN_IF_ERROR(ReadLine(in, tag).status());
-    }
-    switch (tag[0]) {
-      case 'E': info.entities = count; break;
-      case 'P': info.predicates = count; break;
-      case 'A': info.aliases = count; break;
-      case 'F': info.facts = count; break;
-    }
+  info.entities =
+      static_cast<int64_t>(layout.section(kSectionEntities).item_count);
+  info.predicates =
+      static_cast<int64_t>(layout.section(kSectionPredicates).item_count);
+  info.facts = static_cast<int64_t>(layout.section(kSectionFacts).item_count);
+  TENET_ASSIGN_OR_RETURN(
+      FrozenAliasDict::Stats stats,
+      FrozenAliasDict::ReadStats(AliasDictPayload(
+          file.bytes(), layout.section(kSectionAliasDict))));
+  info.has_alias_dict = true;
+  info.aliases = static_cast<int64_t>(stats.num_postings);
+  info.dict_surfaces = stats.num_surfaces;
+  info.dict_key_bytes = stats.key_blob_bytes;
+  info.dict_raw_key_bytes = stats.raw_key_bytes;
+  if (layout.present[kSectionShardInfo]) {
+    TENET_ASSIGN_OR_RETURN(
+        ShardInfo shard_info,
+        ParseShardInfo(file.bytes(), layout.section(kSectionShardInfo)));
+    info.num_shards = static_cast<int32_t>(shard_info.num_shards);
+    info.shard_index = static_cast<int32_t>(shard_info.shard_index);
   }
   return info;
 }

@@ -11,9 +11,6 @@
 #include "text/gazetteer.h"
 
 namespace tenet {
-
-class ThreadPool;
-
 namespace kb {
 
 // Serialization of the knowledge base and the embedding store — the
@@ -21,52 +18,42 @@ namespace kb {
 // JSON dump, storing PBG vectors in a memory-mapped array): build the
 // substrates once, persist them, and reload in O(size of file).
 //
-// Two KB formats are supported (DESIGN.md §11):
-//  - "TENETKB2": the binary snapshot — length-prefixed sections (string
-//    table, entities, predicates, alias postings, facts) behind a
-//    checksummed header, loaded zero-copy through common/mmap_file (with a
-//    buffered fallback) and restored without re-tokenizing a single float.
-//    This is the production format and the default for saves.
-//  - "TENETKB v1": the legacy line-oriented text container, still loaded
-//    transparently (LoadKnowledgeBase auto-detects by magic) and still
-//    writable for debugging/diffing.
-// Embeddings persist as the "TENETEMB1" binary container either way; the
-// loader maps it and bulk-loads the matrix straight into the store's
-// unit-normalized form (EmbeddingStore::LoadMatrix — one copy, no per-row
-// reads).
+// One KB format (DESIGN.md §11): "TENETKB3", a binary snapshot of
+// length-prefixed sections (string table, entities, predicates, facts, the
+// frozen alias dictionary) behind a checksummed header, loaded zero-copy
+// through common/mmap_file (with a buffered fallback) without
+// re-tokenizing a single float.  A shard of a sharded layout is the same
+// container plus a shard_info section (ShardedKb::Save/Load).  The magic
+// carries the format version, bumped on every layout change; files of an
+// older version are rejected with a message naming the version and
+// `tenet_cli kb build`, never loaded silently.
+// Embeddings persist as the "TENETEMB1" binary container; the loader maps
+// it and bulk-loads the matrix straight into the store's unit-normalized
+// form (EmbeddingStore::LoadMatrix — one copy, no per-row reads).
 //
 // Round-trip contract: alias priors are persisted as the *finalized*
-// probabilities with max_digits10 precision and restored bit-exactly
-// (AliasIndex::FinalizeMode::kRestorePriors) — a save→load cycle reproduces
-// candidate distributions to the last bit, so near-tie disambiguation never
-// flips across a restart.  All loaders validate declared counts and section
+// probabilities and adopted bit-exactly (the dictionary is never
+// renormalized on load) — a save→load cycle reproduces candidate
+// distributions to the last bit, so near-tie disambiguation never flips
+// across a restart.  All loaders validate declared counts and section
 // lengths against the actual bytes before anything is returned; malformed
 // or truncated input yields InvalidArgument (DataLoss for non-finite
 // embedding payloads), never a crash, never a partially populated store.
 
-/// On-disk format selector for SaveKnowledgeBase.
-enum class KbFormat {
-  kTextV1,    // "TENETKB v1" line-oriented text
-  kBinaryV2,  // "TENETKB2" binary snapshot (default)
-};
-
 /// Knobs of the load path.
 struct KbLoadOptions {
-  /// Map binary snapshots zero-copy when the platform allows it; false
-  /// forces the buffered (streamed-read) path.
+  /// Map snapshots zero-copy when the platform allows it; false forces the
+  /// buffered (streamed-read) path.
   bool prefer_mmap = true;
-  /// Builds the alias-index shards in parallel when non-null.
-  ThreadPool* pool = nullptr;
 };
 
-/// Writes `kb` (which must be finalized) to `path` in `format`.  Alias
-/// priors are persisted as the finalized probabilities, so a reloaded KB
-/// reproduces the exact candidate distributions.
-Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path,
-                         KbFormat format = KbFormat::kBinaryV2);
+/// Writes `kb` (which must be finalized) to `path` as a TENETKB3
+/// snapshot.  Alias priors are persisted as the finalized probabilities,
+/// so a reloaded KB reproduces the exact candidate distributions.
+Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path);
 
-/// Reads a KB written by SaveKnowledgeBase — either format, auto-detected
-/// by magic — and finalizes it in prior-restoring mode.
+/// Reads a flat TENETKB3 snapshot written by SaveKnowledgeBase and
+/// finalizes it around the adopted alias dictionary.
 Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
                                         const KbLoadOptions& options = {});
 
@@ -79,7 +66,7 @@ Result<embedding::EmbeddingStore> LoadEmbeddings(
     const std::string& path, const KbLoadOptions& options = {});
 
 // Snapshot introspection for `tenet_cli kb inspect` and tests: format,
-// logical counts, and (for binary snapshots) the section table.
+// logical counts, and (for snapshots) the section table.
 struct KbSectionInfo {
   std::string name;
   uint64_t bytes = 0;
@@ -87,30 +74,30 @@ struct KbSectionInfo {
 };
 
 struct KbFileInfo {
-  std::string format;  // "TENETKB v1", "TENETKB2" or "TENETKBSHARDS1"
+  std::string format;  // "TENETKB3" or "TENETKBSHARDS1"
   uint64_t file_bytes = 0;
   int64_t entities = 0;
   int64_t predicates = 0;
   int64_t aliases = 0;
   int64_t facts = 0;
-  std::vector<KbSectionInfo> sections;  // binary snapshots only
+  std::vector<KbSectionInfo> sections;  // snapshots only
   /// Sharded-layout metadata: >0 when the file is one shard of a sharded
-  /// KB (a TENETKB2 snapshot carrying a shard_info section) or a
+  /// KB (a TENETKB3 snapshot carrying a shard_info section) or a
   /// "TENETKBSHARDS1" manifest.  0 for ordinary flat snapshots.
   int32_t num_shards = 0;
   /// Which shard this snapshot is (-1 for manifests and flat snapshots).
   int32_t shard_index = -1;
   /// Per-shard stats, populated when inspecting a manifest.
   std::vector<KbFileInfo> shards;
-  /// Frozen alias dictionary stats (TENETKB2 alias_dict section, DESIGN.md
-  /// §15); all zero when the snapshot predates the dictionary.
+  /// Frozen alias dictionary stats (TENETKB3 alias_dict section, DESIGN.md
+  /// §15); false/zero for manifests, whose shards carry the stats.
   bool has_alias_dict = false;
   uint64_t dict_surfaces = 0;
   uint64_t dict_key_bytes = 0;      // front-coded key blob
   uint64_t dict_raw_key_bytes = 0;  // uncompressed folded key bytes
 };
 
-/// Reads only the metadata of a KB file (any format, including a
+/// Reads only the metadata of a KB file (a TENETKB3 snapshot, or a
 /// "TENETKBSHARDS1" manifest, for which per-shard stats are gathered).
 /// Validates the same header/section invariants as the loader without
 /// materializing the KB.

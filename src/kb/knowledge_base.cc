@@ -62,12 +62,6 @@ void KnowledgeBase::Reserve(int32_t num_entities, int32_t num_predicates,
   facts_.reserve(num_facts);
 }
 
-void KnowledgeBase::RestoreAliasPostings(
-    std::span<const AliasIndex::RestoreEntry> entries, ThreadPool* pool) {
-  TENET_CHECK(!finalized_);
-  alias_index_.RestorePostings(entries, pool);
-}
-
 void KnowledgeBase::AdoptAliasState(
     std::shared_ptr<const FrozenAliasDict> dict,
     AliasIndex::OverlayMap overlay) {
@@ -114,13 +108,11 @@ Status KnowledgeBase::AddLiteralFact(EntityId subject, PredicateId predicate,
   return Status::Ok();
 }
 
-void KnowledgeBase::Finalize(const FinalizeOptions& options) {
+void KnowledgeBase::Finalize() {
   TENET_CHECK(!finalized_) << "KnowledgeBase::Finalize called twice";
   // AdoptAliasState may have installed the frozen dictionary already; the
   // alias index is then finalized and only the CSR build remains.
-  if (!alias_index_.finalized()) {
-    alias_index_.Finalize(options.alias_mode, options.pool);
-  }
+  if (!alias_index_.finalized()) alias_index_.Finalize();
   // Counted two-pass CSR build: degree count, prefix sums, then a fill
   // pass through cursor copies of the offsets.  Two arena allocations per
   // concept kind instead of one vector per concept — the dominant cost of

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <latch>
 #include <span>
 #include <unordered_set>
@@ -147,26 +146,33 @@ ShardedKb ShardedKb::Partition(const KnowledgeBase& kb,
   }
 
   // Alias postings: routed to the *concept's* home shard (each posting
-  // exactly once), in finalized order, restored with their finalized
-  // priors — per-shard sublists of each surface keep the canonical global
-  // order, which is what lets ScatterLookup merge them back exactly.
-  // VisitPostings surface views are only valid during the callback (they
-  // decode out of the frozen dictionary), so each surface is materialized
-  // once in a deque — stable addresses — and the RestoreEntry views borrow
-  // that arena until the bulk restore below completes.
-  std::deque<std::string> surface_arena;
-  std::vector<std::vector<AliasIndex::RestoreEntry>> entries(n);
+  // exactly once) with their finalized priors, in finalized order — so
+  // per-shard sublists of each surface keep the canonical global order,
+  // which is what lets ScatterLookup merge them back exactly.
+  // VisitPostings yields surfaces in ascending folded order with each
+  // surface's postings consecutive, so one pass feeds every shard's
+  // dictionary builder its keys in the order it requires.
+  std::vector<FrozenAliasDict::Builder> builders(n);
+  std::vector<std::vector<AliasPosting>> lists(n);
+  std::string surface;
+  auto flush = [&] {
+    for (int s = 0; s < n; ++s) {
+      if (lists[s].empty()) continue;
+      builders[s].Add(surface, lists[s]);
+      lists[s].clear();
+    }
+  };
   kb.alias_index().VisitPostings(
-      [&](std::string_view surface, const AliasPosting& posting) {
-        if (surface_arena.empty() || surface_arena.back() != surface) {
-          surface_arena.emplace_back(surface);
+      [&](std::string_view visited, const AliasPosting& posting) {
+        if (visited != surface) {
+          flush();
+          surface.assign(visited);
         }
-        entries[HomeShard(posting.concept_ref.id, n)].push_back(
-            AliasIndex::RestoreEntry{surface_arena.back(), posting});
+        lists[HomeShard(posting.concept_ref.id, n)].push_back(posting);
       });
+  flush();
   for (int s = 0; s < n; ++s) {
-    shards[s].alias_index.RestorePostings(entries[s]);
-    shards[s].alias_index.Finalize(AliasIndex::FinalizeMode::kRestorePriors);
+    shards[s].alias_index.AdoptFrozen(std::move(builders[s]).Build(), {});
   }
 
   // Facts: replicated to the home shard of every participant, deduped

@@ -57,8 +57,8 @@ class ShardedKb final : public KbView {
     // Local records: global id = local_index * num_shards + shard_index.
     std::vector<EntityRecord> entities;
     std::vector<PredicateRecord> predicates;
-    /// Postings hold GLOBAL ConceptRefs with globally-finalized priors,
-    /// restored via FinalizeMode::kRestorePriors.
+    /// Postings hold GLOBAL ConceptRefs with globally-finalized priors, in
+    /// a dictionary adopted as built (never renormalized).
     AliasIndex alias_index;
     /// Replicated facts (global concept ids), ascending global fact id.
     std::vector<Triple> facts;
@@ -99,7 +99,7 @@ class ShardedKb final : public KbView {
   static void BuildShardIndexes(Shard& shard, int num_shards,
                                 int shard_index);
 
-  /// Persists the layout: one TENETKB2 snapshot (with a shard_info
+  /// Persists the layout: one TENETKB3 snapshot (with a shard_info
   /// section) + one TENETEMB1 matrix per shard, plus a "TENETKBSHARDS1"
   /// manifest at `manifest_path` naming them.  Implemented in kb/io.cc.
   Status Save(const std::string& manifest_path) const;

@@ -98,7 +98,6 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::LoadSharded(
     const KbGenerationOptions& options) {
   kb::KbLoadOptions load;
   load.prefer_mmap = options.prefer_mmap;
-  load.pool = options.pool;
   TENET_ASSIGN_OR_RETURN(kb::ShardedKb sharded,
                          kb::ShardedKb::Load(manifest_path, load));
   return FromShardedKb(
@@ -111,7 +110,6 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
     const KbGenerationOptions& options) {
   kb::KbLoadOptions load;
   load.prefer_mmap = options.prefer_mmap;
-  load.pool = options.pool;
   TENET_ASSIGN_OR_RETURN(kb::KnowledgeBase kb,
                          kb::LoadKnowledgeBase(kb_path, load));
   TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore embeddings,
@@ -128,7 +126,7 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
   }
   TENET_ASSIGN_OR_RETURN(
       kb::AppliedDelta applied,
-      kb::ApplyDeltas(kb, embeddings, segments, options.pool));
+      kb::ApplyDeltas(kb, embeddings, segments));
   return std::shared_ptr<const KbGeneration>(
       new KbGeneration(std::move(applied.kb), std::move(applied.embeddings),
                        id, applied.stats, options));
@@ -144,7 +142,7 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
   }
   TENET_ASSIGN_OR_RETURN(
       kb::AppliedDelta applied,
-      kb::ApplyDeltas(kb_, embeddings_, segments, options.pool));
+      kb::ApplyDeltas(kb_, embeddings_, segments));
   return std::shared_ptr<const KbGeneration>(new KbGeneration(
       std::move(applied.kb), std::move(applied.embeddings), id,
       Accumulate(delta_stats_, applied.stats), options));

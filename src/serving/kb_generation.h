@@ -18,20 +18,12 @@
 #include "text/gazetteer.h"
 
 namespace tenet {
-
-class ThreadPool;
-
 namespace serving {
 
 // Construction knobs shared by every KbGeneration factory.
 struct KbGenerationOptions {
   /// Pipeline tuning of the generation's linker.
   core::TenetOptions linker_options;
-  /// Parallelizes the alias-index restore/finalize during construction.
-  /// Must NOT be the serving pool of a service the generation will be
-  /// swapped into when the swap itself runs on that pool (the background
-  /// merge does) — a worker waiting on its own pool's queue deadlocks.
-  ThreadPool* pool = nullptr;
   /// Forwarded to the snapshot loaders (Load only).
   bool prefer_mmap = true;
 };
@@ -84,7 +76,7 @@ class KbGeneration {
       std::span<const kb::DeltaSegment> segments, uint64_t id,
       const KbGenerationOptions& options = {}) const;
 
-  /// Persists this generation as a fresh TENETKB2 + TENETEMB1 pair — the
+  /// Persists this generation as a fresh TENETKB3 + TENETEMB1 pair — the
   /// merge step that folds applied deltas back into a base snapshot.  Both
   /// writes are atomic; a crash between the two leaves a loadable (if
   /// mismatched-by-one) pair, never a torn file.  kInvalidArgument on a

@@ -230,7 +230,7 @@ TEST(ApplyDeltasTest, UntouchedSurfacesKeepBitExactPriors) {
     ASSERT_EQ(before.size(), after.size());
     for (size_t i = 0; i < before.size(); ++i) {
       EXPECT_EQ(before[i].entity, after[i].entity);
-      // EQ, not NEAR: the kRestorePriors contract is bit-exact.
+      // EQ, not NEAR: untouched surfaces keep their priors bit-exact.
       EXPECT_EQ(before[i].prior, after[i].prior);
     }
   }

@@ -17,6 +17,7 @@
 #include "core/pipeline.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
+#include "kb/sharded_kb.h"
 #include "kb/synthetic_kb.h"
 
 namespace tenet {
@@ -280,9 +281,9 @@ PostingRows AllPostings(const KnowledgeBase& kb) {
   return rows;
 }
 
-TEST(KbIoTest, PriorsRoundTripBitExactInBothFormats) {
+TEST(KbIoTest, PriorsRoundTripBitExact) {
   // Alias priors are probabilities computed once at build time; each load
-  // must restore them bit-exactly (max_digits10 text, raw doubles binary).
+  // must restore them bit-exactly (raw doubles, adopted as stored).
   // Renormalizing on load would drift near-tie disambiguations by an ulp
   // per save/load generation.
   Rng rng(64);
@@ -293,33 +294,20 @@ TEST(KbIoTest, PriorsRoundTripBitExactInBothFormats) {
   PostingRows original = AllPostings(world.kb);
   ASSERT_FALSE(original.empty());
 
-  for (KbFormat format : {KbFormat::kTextV1, KbFormat::kBinaryV2}) {
-    SCOPED_TRACE(format == KbFormat::kTextV1 ? "text" : "binary");
-    std::string path = TempPath("prior_exact.tenetkb");
-    ASSERT_TRUE(SaveKnowledgeBase(world.kb, path, format).ok());
-    Result<KnowledgeBase> gen1 = LoadKnowledgeBase(path);
-    ASSERT_TRUE(gen1.ok()) << gen1.status();
-    EXPECT_EQ(AllPostings(*gen1), original);
+  std::string path = TempPath("prior_exact.tenetkb");
+  ASSERT_TRUE(SaveKnowledgeBase(world.kb, path).ok());
+  Result<KnowledgeBase> gen1 = LoadKnowledgeBase(path);
+  ASSERT_TRUE(gen1.ok()) << gen1.status();
+  EXPECT_EQ(AllPostings(*gen1), original);
 
-    // Second generation: save the loaded KB and load again — still exact.
-    ASSERT_TRUE(SaveKnowledgeBase(*gen1, path, format).ok());
-    Result<KnowledgeBase> gen2 = LoadKnowledgeBase(path);
-    ASSERT_TRUE(gen2.ok()) << gen2.status();
-    EXPECT_EQ(AllPostings(*gen2), original);
-  }
+  // Second generation: save the loaded KB and load again — still exact.
+  ASSERT_TRUE(SaveKnowledgeBase(*gen1, path).ok());
+  Result<KnowledgeBase> gen2 = LoadKnowledgeBase(path);
+  ASSERT_TRUE(gen2.ok()) << gen2.status();
+  EXPECT_EQ(AllPostings(*gen2), original);
 }
 
-TEST(KbIoCorruptionTest, TextLoadRejectsTrailingGarbage) {
-  std::string path = TempPath("trailing.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(TinyKb(), path, KbFormat::kTextV1).ok());
-  std::string content = ReadFileBytes(path);
-  WriteFile(path, content + "one more line\n");
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-// --- TENETKB2 corruption matrix --------------------------------------------
+// --- TENETKB3 corruption matrix --------------------------------------------
 // Layout recap (mirrors io.cc): 32-byte header, then section_count 32-byte
 // table entries {u32 id, u32 pad, u64 offset, u64 size, u64 count}, then
 // the section payloads.  The header checksum covers the table.
@@ -347,25 +335,58 @@ std::vector<BinarySection> ReadSectionTable(const std::string& bytes) {
   return sections;
 }
 
-std::string SavedBinaryKb(const std::string& name) {
+BinarySection SectionById(const std::vector<BinarySection>& sections,
+                          uint32_t id) {
+  for (const BinarySection& s : sections) {
+    if (s.id == id) return s;
+  }
+  ADD_FAILURE() << "no section " << id;
+  return {};
+}
+
+SyntheticKb MatrixWorld() {
   Rng rng(65);
   SyntheticKbOptions options;
   options.num_domains = 2;
   options.entities_per_domain = 8;
-  SyntheticKb world = SyntheticKbGenerator(options).Generate(rng);
+  return SyntheticKbGenerator(options).Generate(rng);
+}
+
+std::string SavedBinaryKb(const std::string& name) {
   std::string path = TempPath(name);
-  EXPECT_TRUE(SaveKnowledgeBase(world.kb, path, KbFormat::kBinaryV2).ok());
+  EXPECT_TRUE(SaveKnowledgeBase(MatrixWorld().kb, path).ok());
   return path;
 }
 
-TEST(KbIoCorruptionTest, BinaryTruncationAtEverySectionBoundaryIsRejected) {
-  std::string path = SavedBinaryKb("matrix_boundary.tenetkb");
-  std::string content = ReadFileBytes(path);
+// The matrix world saved as a 2-shard layout; returns the manifest path.
+// Shard i's snapshot sits next to it at `<manifest>.s<i>.tenetkb`.
+std::string SavedTwoShardLayout(const std::string& name) {
+  SyntheticKb world = MatrixWorld();
+  embedding::EmbeddingStore embeddings(4, world.kb.num_entities(),
+                                       world.kb.num_predicates());
+  embeddings.Finalize();
+  std::string manifest = TempPath(name);
+  EXPECT_TRUE(
+      ShardedKb::Partition(world.kb, embeddings, 2).Save(manifest).ok());
+  return manifest;
+}
+
+// Loads shard 0 of the layout at `manifest` with its snapshot replaced by
+// `shard0` (the layout is left that way).
+Status LoadWithShard0(const std::string& manifest, const std::string& shard0) {
+  WriteFile(manifest + ".s0.tenetkb", shard0);
+  return ShardedKb::Load(manifest).status();
+}
+
+// Cuts a snapshot exactly at each section's start, one byte into it, and
+// one byte before its end — plus the header/table edges — and expects
+// `load` to reject every prefix with kInvalidArgument.
+template <typename LoadFn>
+void ExpectEveryBoundaryCutRejected(const std::string& content,
+                                    LoadFn&& load) {
   std::vector<BinarySection> sections = ReadSectionTable(content);
-  ASSERT_EQ(sections.size(), 6u);  // 5 legacy sections + alias_dict
-  // Cut exactly at each section's start, one byte into it, and one byte
-  // before its end — plus the header/table edges.
-  std::vector<size_t> cuts = {0, 1, 31, 32, 33, 32 + 6 * 32 - 1, 32 + 6 * 32};
+  const size_t table_end = 32 + sections.size() * 32;
+  std::vector<size_t> cuts = {0, 1, 31, 32, 33, table_end - 1, table_end};
   for (const BinarySection& s : sections) {
     cuts.push_back(s.offset);
     cuts.push_back(s.offset + 1);
@@ -373,13 +394,137 @@ TEST(KbIoCorruptionTest, BinaryTruncationAtEverySectionBoundaryIsRejected) {
   }
   for (size_t cut : cuts) {
     ASSERT_LT(cut, content.size());
-    std::string truncated_path = TempPath("matrix_truncated.tenetkb");
-    WriteFile(truncated_path, content.substr(0, cut));
-    Result<KnowledgeBase> loaded = LoadKnowledgeBase(truncated_path);
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes";
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-        << "prefix of " << cut << " bytes";
+    Status status = load(content.substr(0, cut));
+    ASSERT_FALSE(status.ok()) << "prefix of " << cut << " bytes";
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "prefix of " << cut << " bytes: " << status;
   }
+}
+
+TEST(KbIoCorruptionTest, BinaryTruncationAtEverySectionBoundaryIsRejected) {
+  std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_boundary.tenetkb"));
+  // string_table, entities, predicates, facts, alias_dict.
+  ASSERT_EQ(ReadSectionTable(content).size(), 5u);
+  ExpectEveryBoundaryCutRejected(content, [](const std::string& prefix) {
+    std::string truncated_path = TempPath("matrix_truncated.tenetkb");
+    WriteFile(truncated_path, prefix);
+    return LoadKnowledgeBase(truncated_path).status();
+  });
+
+  // Shard 0 of a 2-shard layout runs the same decoder, through the
+  // manifest loader.
+  std::string manifest = SavedTwoShardLayout("matrix_boundary.tenetshards");
+  std::string shard0 = ReadFileBytes(manifest + ".s0.tenetkb");
+  ASSERT_EQ(ReadSectionTable(shard0).size(), 6u);  // + shard_info
+  ASSERT_TRUE(ShardedKb::Load(manifest).ok());
+  ExpectEveryBoundaryCutRejected(shard0, [&](const std::string& prefix) {
+    return LoadWithShard0(manifest, prefix);
+  });
+}
+
+TEST(KbIoCorruptionTest, BytesAfterAValidSnapshotAreRejected) {
+  std::string path = SavedBinaryKb("trailing.tenetkb");
+  std::string content = ReadFileBytes(path);
+  WriteFile(path, content + "one more line\n");
+  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(KbIoCorruptionTest, OldFormatVersionIsRejectedWithRebuildHint) {
+  // A file of an older format version is not corrupt, just stale: both the
+  // loader and `kb inspect` must say which version it is and how to
+  // regenerate it, never parse it.
+  std::string path = SavedBinaryKb("old_version.tenetkb");
+  std::string content = ReadFileBytes(path);
+  ASSERT_EQ(content.substr(0, 8), "TENETKB3");
+  content[7] = '2';
+  WriteFile(path, content);
+  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<KbFileInfo> inspected = InspectKnowledgeBaseFile(path);
+  for (const Status& status : {loaded.status(), inspected.status()}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("TENETKB2"), std::string::npos)
+        << status;
+    EXPECT_NE(status.message().find("tenet_cli kb build"), std::string::npos)
+        << status;
+  }
+}
+
+TEST(KbIoCorruptionTest, FactWithOutOfRangeObjectEntityIsRejected) {
+  std::string path = SavedBinaryKb("matrix_fact.tenetkb");
+  std::string content = ReadFileBytes(path);
+  std::vector<BinarySection> sections = ReadSectionTable(content);
+  const BinarySection facts = SectionById(sections, 5);
+  ASSERT_GE(facts.count, 1u);
+  // Fact records are {i32 subject, i32 predicate, i32 object_kind,
+  // i32 object_entity, u32 literal_ref, u32 pad}; point the first one at
+  // the entity one past the end.
+  const int32_t entity_object = 0;
+  const int32_t bogus = static_cast<int32_t>(SectionById(sections, 2).count);
+  std::memcpy(content.data() + facts.offset + 8, &entity_object,
+              sizeof(entity_object));
+  std::memcpy(content.data() + facts.offset + 12, &bogus, sizeof(bogus));
+  WriteFile(path, content);
+  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- shard snapshots: what only the manifest loader can check --------------
+
+TEST(KbIoCorruptionTest, ShardInfoDisagreeingWithTheManifestIsRejected) {
+  std::string manifest = SavedTwoShardLayout("matrix_info.tenetshards");
+  std::string shard0 = ReadFileBytes(manifest + ".s0.tenetkb");
+  const BinarySection info = SectionById(ReadSectionTable(shard0), 6);
+  // shard_info = {u32 num_shards, u32 shard_index, i64 entities,
+  // i64 predicates, i64 facts}: claim to be shard 1 of the layout.
+  const uint32_t index = 1;
+  std::memcpy(shard0.data() + info.offset + 4, &index, sizeof(index));
+  Status status = LoadWithShard0(manifest, shard0);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("manifest"), std::string::npos) << status;
+}
+
+TEST(KbIoCorruptionTest, NonAscendingShardFactIdsAreRejected) {
+  std::string manifest = SavedTwoShardLayout("matrix_fact_ids.tenetshards");
+  std::string shard0 = ReadFileBytes(manifest + ".s0.tenetkb");
+  const BinarySection facts = SectionById(ReadSectionTable(shard0), 5);
+  ASSERT_GE(facts.count, 2u);
+  // A shard fact record's trailing word is its global fact id: repeat the
+  // first record's id in the second.
+  std::memcpy(shard0.data() + facts.offset + 24 + 20,
+              shard0.data() + facts.offset + 20, sizeof(uint32_t));
+  Status status = LoadWithShard0(manifest, shard0);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("ascending"), std::string::npos) << status;
+}
+
+TEST(KbIoCorruptionTest, ShardEntityCountOffTheStrideIsRejected) {
+  std::string manifest = SavedTwoShardLayout("matrix_stride.tenetshards");
+  std::string shard0 = ReadFileBytes(manifest + ".s0.tenetkb");
+  std::vector<BinarySection> sections = ReadSectionTable(shard0);
+  // Drop the last entity record from the section table (count and length
+  // stay consistent with each other) and re-seal the header checksum, so
+  // only the strided-layout check can catch it.
+  for (size_t i = 0; i < sections.size(); ++i) {
+    if (sections[i].id != 2) continue;
+    ASSERT_GE(sections[i].count, 1u);
+    const uint64_t count = sections[i].count - 1;
+    const uint64_t size = count * 24;
+    std::memcpy(shard0.data() + 32 + i * 32 + 16, &size, sizeof(size));
+    std::memcpy(shard0.data() + 32 + i * 32 + 24, &count, sizeof(count));
+  }
+  const uint64_t checksum = Fnv1a64(shard0.data() + 32, sections.size() * 32);
+  std::memcpy(shard0.data() + 24, &checksum, sizeof(checksum));
+  Status status = LoadWithShard0(manifest, shard0);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("strided"), std::string::npos) << status;
 }
 
 TEST(KbIoCorruptionTest, BinaryChecksumMismatchIsRejected) {
@@ -414,7 +559,7 @@ TEST(KbIoCorruptionTest, BinaryAliasWithOutOfRangeEntityIdIsRejected) {
   std::string path = SavedBinaryKb("matrix_alias.tenetkb");
   std::string content = ReadFileBytes(path);
   std::vector<BinarySection> sections = ReadSectionTable(content);
-  // Postings now live in the frozen alias dictionary (section id 7, last).
+  // Postings live in the frozen alias dictionary (section id 7, last).
   ASSERT_EQ(sections.back().id, 7u);
   const BinarySection& dict = sections.back();
   ASSERT_GE(dict.count, 1u);
@@ -442,15 +587,6 @@ TEST(KbIoCorruptionTest, WrongMagicIsRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(KbIoCorruptionTest, WrongVersionLineIsRejected) {
-  // A future (or corrupted) version stamp must not be parsed as v1.
-  std::string path = TempPath("wrong_version.tenetkb");
-  WriteFile(path, "TENETKB v9\nE\t0\nP\t0\nA\t0\nF\t0\n");
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(KbIoCorruptionTest, TruncatedKbFileIsRejected) {
   std::string full_path = TempPath("truncate_source.tenetkb");
   ASSERT_TRUE(SaveKnowledgeBase(TinyKb(), full_path).ok());
@@ -466,34 +602,6 @@ TEST(KbIoCorruptionTest, TruncatedKbFileIsRejected) {
     ASSERT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes";
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
-}
-
-TEST(KbIoCorruptionTest, AliasWithOutOfRangeEntityIdIsRejected) {
-  std::string path = TempPath("bad_alias_id.tenetkb");
-  WriteFile(path,
-            "TENETKB v1\n"
-            "E\t1\n0\t0\t1\tBrooklyn\n"
-            "P\t0\n"
-            "A\t1\nE\t7\t1\tKings County\n"  // entity 7 does not exist
-            "F\t0\n");
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("unknown entity"),
-            std::string::npos);
-}
-
-TEST(KbIoCorruptionTest, FactWithOutOfRangeConceptIdsIsRejected) {
-  std::string path = TempPath("bad_fact_id.tenetkb");
-  WriteFile(path,
-            "TENETKB v1\n"
-            "E\t1\n0\t0\t1\tBrooklyn\n"
-            "P\t1\n0\t1\tvisited\n"
-            "A\t0\n"
-            "F\t1\n0\t0\tE\t42\n");  // object entity 42 does not exist
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(KbIoCorruptionTest, NaNEmbeddingPayloadIsDataLoss) {

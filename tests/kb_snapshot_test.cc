@@ -1,16 +1,14 @@
-// Golden snapshot equivalence: a world saved to disk and reloaded — legacy
-// text, TENETKB2 streamed, or TENETKB2 zero-copy (with and without a
-// thread pool) — must drive the full evaluation to scores byte-identical
-// to the in-memory original, including the full/degraded accounting.  This
-// is the round-trip contract the persistence layer exists to keep: a
-// restart may never change what the system links.
+// Golden snapshot equivalence: a world saved to disk and reloaded — TENETKB3
+// streamed or zero-copy — must drive the full evaluation to scores
+// byte-identical to the in-memory original, including the full/degraded
+// accounting.  This is the round-trip contract the persistence layer
+// exists to keep: a restart may never change what the system links.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/tenet_linker.h"
-#include "common/thread_pool.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
 #include "eval/harness.h"
@@ -52,28 +50,19 @@ TEST(KbSnapshotTest, EveryLoadPathScoresIdenticallyToMemory) {
   ASSERT_EQ(golden.failed_documents, 0);
   ASSERT_GT(golden.entity_linking.tp, 0);
 
-  std::string text_path = TempPath("snapshot_world.text.tenetkb");
   std::string bin_path = TempPath("snapshot_world.tenetkb");
   std::string emb_path = TempPath("snapshot_world.tenetemb");
-  ASSERT_TRUE(
-      kb::SaveKnowledgeBase(world.kb(), text_path, kb::KbFormat::kTextV1)
-          .ok());
-  ASSERT_TRUE(
-      kb::SaveKnowledgeBase(world.kb(), bin_path, kb::KbFormat::kBinaryV2)
-          .ok());
+  ASSERT_TRUE(kb::SaveKnowledgeBase(world.kb(), bin_path).ok());
   ASSERT_TRUE(kb::SaveEmbeddings(world.embeddings, emb_path).ok());
 
-  ThreadPool pool(ThreadPool::Options{});
   struct LoadPath {
     const char* name;
     const std::string* kb_path;
     kb::KbLoadOptions options;
   };
   const LoadPath paths[] = {
-      {"text", &text_path, {}},
-      {"binary_stream", &bin_path, {/*prefer_mmap=*/false, nullptr}},
-      {"binary_mmap", &bin_path, {/*prefer_mmap=*/true, nullptr}},
-      {"binary_mmap_pool", &bin_path, {/*prefer_mmap=*/true, &pool}},
+      {"binary_stream", &bin_path, {/*prefer_mmap=*/false}},
+      {"binary_mmap", &bin_path, {/*prefer_mmap=*/true}},
   };
   for (const LoadPath& path : paths) {
     SCOPED_TRACE(path.name);

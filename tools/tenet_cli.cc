@@ -53,17 +53,16 @@
 //       mentions, so scores are unchanged; the swap/rollback accounting is
 //       reported afterwards.
 //
-//   tenet_cli kb build [--seed N] [--kb PATH] [--emb PATH]
-//             [--format text|binary] [--shards N]
-//       Like build-world, with an explicit snapshot format: binary writes
-//       the TENETKB2 snapshot (the default everywhere), text the legacy
-//       TENETKB v1 container (for diffing/debugging).  With --shards N the
-//       world is hash-partitioned into N shards and --kb names the
-//       TENETKBSHARDS1 manifest of the layout (one snapshot + embedding
-//       pair per shard lands next to it); --emb and --format do not apply.
+//   tenet_cli kb build [--seed N] [--kb PATH] [--emb PATH] [--shards N]
+//       Builds the synthetic world and writes it as a TENETKB3 snapshot +
+//       TENETEMB1 pair — the way to regenerate a KB written by an older
+//       format version.  With --shards N the world is hash-partitioned
+//       into N shards and --kb names the TENETKBSHARDS1 manifest of the
+//       layout (one snapshot + embedding pair per shard lands next to
+//       it); --emb does not apply.
 //
 //   tenet_cli kb inspect [--kb PATH] [--emb PATH]
-//       Prints the format, logical counts and (for binary snapshots) the
+//       Prints the format, logical counts and (for snapshots) the
 //       section table of a KB file without materializing it, plus the
 //       embedding header when --emb is given.  Validates the same
 //       header/section invariants as the loader.  On a TENETKBSHARDS1
@@ -83,7 +82,7 @@
 //             --out-kb PATH --out-emb PATH
 //       Compaction: loads the snapshot pair, applies the delta segments in
 //       order, and persists the merged substrate as a fresh
-//       TENETKB2/TENETEMB1 pair (both writes atomic).  Prints what the
+//       TENETKB3/TENETEMB1 pair (both writes atomic).  Prints what the
 //       apply did.
 //
 // All numeric flags are parsed strictly: "--threads 4x" is an error (exit
@@ -131,7 +130,6 @@ struct Args {
   std::string kb_path = "world.tenetkb";
   std::string emb_path = "world.tenetemb";
   bool emb_path_set = false;
-  kb::KbFormat format = kb::KbFormat::kBinaryV2;
   std::optional<std::string> document_text;
   int candidates = 4;
   double deadline_ms = std::numeric_limits<double>::infinity();
@@ -205,17 +203,6 @@ std::optional<Args> Parse(int argc, char** argv) {
       if (v == nullptr) return std::nullopt;
       args.emb_path = v;
       args.emb_path_set = true;
-    } else if (flag == "--format") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      if (std::string_view(v) == "text") {
-        args.format = kb::KbFormat::kTextV1;
-      } else if (std::string_view(v) == "binary") {
-        args.format = kb::KbFormat::kBinaryV2;
-      } else {
-        std::fprintf(stderr, "--format expects text or binary, got: %s\n", v);
-        return std::nullopt;
-      }
     } else if (flag == "--text") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
@@ -339,7 +326,7 @@ void PrintUsage() {
       "[--similarity-cache-mb N] [--metrics-out FILE] "
       "[--kb-update-every N]\n"
       "  tenet_cli kb build [--seed N] [--kb PATH] [--emb PATH] "
-      "[--format text|binary] [--shards N]\n"
+      "[--shards N]\n"
       "  tenet_cli kb inspect [--kb PATH] [--emb PATH]\n"
       "  tenet_cli kb delta --kb PATH --emb PATH --out PATH [--seed N] "
       "[--add-entities N]\n"
@@ -432,8 +419,7 @@ int CmdBuildWorld(const Args& args) {
                 world.kb().num_facts());
     return 0;
   }
-  Status kb_status =
-      kb::SaveKnowledgeBase(world.kb(), args.kb_path, args.format);
+  Status kb_status = kb::SaveKnowledgeBase(world.kb(), args.kb_path);
   if (!kb_status.ok()) {
     std::fprintf(stderr, "%s\n", kb_status.ToString().c_str());
     return 1;
@@ -527,7 +513,7 @@ int CmdKbDelta(const Args& args) {
   }
   if (info->num_shards > 0) {
     Status rejected = Status::InvalidArgument(
-        "kb delta needs a flat TENETKB2 snapshot; " + args.kb_path +
+        "kb delta needs a flat TENETKB3 snapshot; " + args.kb_path +
         " is a sharded layout (" + std::to_string(info->num_shards) +
         " shards).  Sharded layouts are read-only: rebuild them offline "
         "instead of applying deltas");
@@ -581,7 +567,7 @@ int CmdKbMerge(const Args& args) {
   Result<kb::KbFileInfo> info = kb::InspectKnowledgeBaseFile(args.kb_path);
   if (info.ok() && info->num_shards > 0) {
     Status rejected = Status::InvalidArgument(
-        "kb merge needs a flat TENETKB2 snapshot; " + args.kb_path +
+        "kb merge needs a flat TENETKB3 snapshot; " + args.kb_path +
         " is a sharded layout (" + std::to_string(info->num_shards) +
         " shards).  Sharded layouts are read-only: rebuild them offline "
         "instead of merging deltas");
