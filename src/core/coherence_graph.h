@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/mention.h"
 #include "embedding/embedding_store.h"
 #include "embedding/similarity_cache.h"
@@ -20,29 +19,10 @@ struct CoherenceGraphOptions {
   /// Candidates per mention (the parameter k of Figures 6(d) and 7(c)).
   /// The paper finds 3-4 optimal: fewer starves coherence, more adds noise.
   int max_candidates_per_mention = 4;
-  /// Shared worker pool driving the pairwise kernel (Sec. 6.2's parallel
-  /// edge retrieval).  Null runs the kernel serially in the calling
-  /// thread.  The pool must outlive the builder, and must NOT be a pool
-  /// whose own workers call Build (the build blocks on its subtasks — a
-  /// worker waiting on work queued behind itself deadlocks); give the
-  /// coherence kernel its own pool, not the serving layer's request pool.
-  ThreadPool* pool = nullptr;
-  /// Cap on the pairwise kernel's task count when `pool` is set: 0 uses
-  /// pool->num_threads(), 1 forces a serial build.  (Historically this was
-  /// the size of a per-Build std::thread spawn; Build never spawns threads
-  /// itself anymore.)  Output is identical for every value — partitions
-  /// are deterministic and results are merged in row order.
-  int num_threads = 0;
   /// Cross-document pairwise-similarity cache consulted by Build (see
   /// SimilarityCache).  Null computes every pair.  A per-request cache on
   /// the LinkContext overrides this one.
   embedding::SimilarityCache* similarity_cache = nullptr;
-  /// When false, concept-pair weights come from per-pair
-  /// EmbeddingStore::Cosine calls instead of the gathered, tiled kernel.
-  /// Same values by construction (both run the DotUnit reduction over unit
-  /// rows) but one fault-point probe per pair instead of per document.
-  /// Kept for the golden equivalence test and as an escape hatch.
-  bool use_gather_kernel = true;
 };
 
 // The knowledge coherence graph G = (V, E) of Definition 4.
@@ -109,8 +89,9 @@ class CoherenceGraph {
 // row-major scratch (a single dependency operation), then a tiled
 // triangular sweep computes pair weights with the DotUnit reduction —
 // identical values to per-pair Cosine() calls, emitted in lexicographic
-// (i, j) pair order whatever the tiling or task partition, so the edge
-// list (and everything downstream of it) is deterministic.
+// (i, j) pair order whatever the tiling, so the edge list (and everything
+// downstream of it) is deterministic.  A build runs in the calling thread;
+// serving parallelises across requests, not within one.
 class CoherenceGraphBuilder {
  public:
   /// Builds against any KB substrate behind the KbView contract — flat or

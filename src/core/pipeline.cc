@@ -839,8 +839,10 @@ Result<LinkingResult> TenetPipeline::PairLinkFromGraph(
       cands[m].push_back(PairLinkCandidate{cn.ref, cn.prior, node});
     }
   }
-  // Graph edge weights are 1 - cos; a missing edge (pruned or same-mention)
-  // reads as zero similarity, which the optimistic bound then corrects.
+  // Graph edge weights are 1 - cos.  The coherence graph is never pruned:
+  // a missing edge is a same-mention pair or a pair that shares no
+  // sentence, and reads as zero similarity, which the optimistic bound
+  // then corrects.
   auto sim = [&cg](const PairLinkCandidate& u, const PairLinkCandidate& v) {
     return 1.0 - cg.graph().EdgeWeight(u.node, v.node, /*missing=*/1.0);
   };

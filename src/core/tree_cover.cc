@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/dependency_health.h"
@@ -99,39 +97,18 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
   }
   if (num_concepts == 0) return cover;  // every mention isolated
 
-  // ---- Step (a): edge pruning --------------------------------------------
-  graph::WeightedGraph pruned = cg.graph().PrunedCopy(bound);
+  // ---- Steps (a)-(c): prune, contract the mentions into r, MST ----------
+  // All on cg.graph(): Kruskal skips edges heavier than B and starts the
+  // mention nodes [0, M) in one union-find set, which is r.  Every concept
+  // node has exactly one mention edge (its owner's), so the contraction
+  // never merges parallel edges.
+  const graph::WeightedGraph& g = cg.graph();
   if (stats != nullptr) {
-    stats->pruned_edges = cg.graph().num_edges() - pruned.num_edges();
+    stats->pruned_edges = static_cast<int>(std::count_if(
+        g.edges().begin(), g.edges().end(),
+        [bound](const graph::Edge& e) { return e.weight > bound; }));
   }
-
-  // ---- Step (b): major root node contraction -----------------------------
-  // Contracted node 0 is r; contracted node j+1 is concept node
-  // (num_mentions + j) of the coherence graph.
-  graph::WeightedGraph contracted(num_concepts + 1);
-  std::vector<int> star_mention(num_concepts, -1);
-  std::vector<double> star_weight(num_concepts,
-                                  std::numeric_limits<double>::infinity());
-  for (const graph::Edge& e : pruned.edges()) {
-    const bool u_is_mention = e.u < num_mentions;
-    const bool v_is_mention = e.v < num_mentions;
-    TENET_DCHECK(!(u_is_mention && v_is_mention));
-    if (u_is_mention || v_is_mention) {
-      int mention = u_is_mention ? e.u : e.v;
-      int concept_local = (u_is_mention ? e.v : e.u) - num_mentions;
-      contracted.AddEdge(0, concept_local + 1, e.weight);
-      if (e.weight < star_weight[concept_local]) {
-        star_weight[concept_local] = e.weight;
-        star_mention[concept_local] = mention;
-      }
-    } else {
-      contracted.AddEdge(e.u - num_mentions + 1, e.v - num_mentions + 1,
-                         e.weight);
-    }
-  }
-
-  // ---- Step (c): MST (Kruskal order; see Sec. 4.2 discussion) ------------
-  graph::SpanningForest mst = graph::KruskalMst(contracted);
+  graph::SpanningForest mst = graph::KruskalMst(g, bound, num_mentions);
   if (!mst.spans_all) {
     return Status::BoundTooSmall(
         "pruned contracted graph is disconnected; B below B*");
@@ -141,102 +118,68 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
   }
 
   // ---- Step (d): decompose r back into the mentions ----------------------
-  // Components of MST \ {r}; each hangs off exactly one star edge.
-  std::vector<std::vector<std::pair<int, double>>> mst_adj(num_concepts + 1);
-  std::vector<std::pair<int, double>> root_edges;  // (concept_local+1, w)
+  // Each MST edge with a mention endpoint hangs one component of MST \ {r}
+  // off that mention.  A mention's tree is the run of its components in
+  // MST order, each collected as edges oriented away from the mention.
+  std::vector<graph::TreeEdge> star_edges;  // mention -> concept
+  std::vector<std::vector<std::pair<int, double>>> mst_adj(cg.num_nodes());
   for (int edge_index : mst.edge_indices) {
-    const graph::Edge& e = contracted.edges()[edge_index];
-    if (e.u == 0 || e.v == 0) {
-      root_edges.emplace_back(e.u == 0 ? e.v : e.u, e.weight);
+    const graph::Edge& e = g.edges()[edge_index];
+    const int lo = std::min(e.u, e.v);  // mention ids precede concept ids
+    if (cg.IsMentionNode(lo)) {
+      star_edges.push_back(
+          graph::TreeEdge{lo, std::max(e.u, e.v), e.weight});
     } else {
       mst_adj[e.u].emplace_back(e.v, e.weight);
       mst_adj[e.v].emplace_back(e.u, e.weight);
     }
   }
-
-  std::vector<graph::RootedTree> mention_trees;
-  std::vector<int> tree_owner;  // mention id per decomposed tree
-  {
-    std::vector<bool> visited(num_concepts + 1, false);
-    for (const auto& [entry, entry_weight] : root_edges) {
-      TENET_CHECK(!visited[entry])
-          << "component attached to r by two star edges (cycle in MST)";
-      int concept_local = entry - 1;
-      int mention = star_mention[concept_local];
-      TENET_DCHECK(mention >= 0);
-      // Collect the component as oriented edges in coherence-graph ids.
-      std::vector<graph::TreeEdge> edges;
-      edges.push_back(graph::TreeEdge{
-          mention, num_mentions + concept_local, entry_weight});
-      std::vector<int> stack{entry};
-      visited[entry] = true;
-      while (!stack.empty()) {
-        int node = stack.back();
-        stack.pop_back();
-        for (const auto& [next, w] : mst_adj[node]) {
-          if (visited[next]) continue;
-          visited[next] = true;
-          edges.push_back(graph::TreeEdge{num_mentions + node - 1,
-                                          num_mentions + next - 1, w});
-          stack.push_back(next);
-        }
+  std::vector<std::vector<graph::TreeEdge>> edges_by_mention(num_mentions);
+  for (const graph::TreeEdge& star : star_edges) {
+    std::vector<graph::TreeEdge>& edges = edges_by_mention[star.parent];
+    edges.push_back(star);
+    std::vector<std::pair<int, int>> stack{{star.child, star.parent}};
+    while (!stack.empty()) {
+      const auto [node, parent] = stack.back();
+      stack.pop_back();
+      for (const auto& [next, w] : mst_adj[node]) {
+        if (next == parent) continue;
+        edges.push_back(graph::TreeEdge{node, next, w});
+        stack.emplace_back(next, node);
       }
-      Result<graph::RootedTree> tree =
-          graph::RootedTree::FromOrientedEdges(mention, edges);
-      TENET_CHECK(tree.ok()) << tree.status();
-      mention_trees.push_back(std::move(tree).value());
-      tree_owner.push_back(mention);
     }
   }
 
-  // A mention may own several components (it was the cheapest root edge of
-  // several) — merge them into one tree rooted at the mention.
-  // std::map keeps mention iteration order deterministic across platforms.
-  std::map<int, std::vector<graph::TreeEdge>> edges_by_mention;
-  for (size_t t = 0; t < mention_trees.size(); ++t) {
-    std::vector<graph::TreeEdge>& bucket = edges_by_mention[tree_owner[t]];
-    const std::vector<graph::TreeEdge>& edges = mention_trees[t].edges();
-    bucket.insert(bucket.end(), edges.begin(), edges.end());
-  }
-
   // ---- Step (e): tree splitting ------------------------------------------
-  struct OwnedSubtree {
-    int owner;  // mention whose decomposed tree it was carved from
-    graph::RootedTree tree;
-  };
-  std::vector<OwnedSubtree> subtrees;
-  std::vector<graph::RootedTree> leftovers;
-  std::vector<int> leftover_owner;
-  for (auto& [mention, edges] : edges_by_mention) {
+  // Each leftover stays with its mention; the carved subtrees go to (f).
+  std::vector<CoverTreeAccumulator> accumulators;
+  accumulators.reserve(num_mentions);
+  for (int m = 0; m < num_mentions; ++m) accumulators.emplace_back(m);
+  std::vector<graph::RootedTree> subtrees;
+  for (int mention = 0; mention < num_mentions; ++mention) {
+    const std::vector<graph::TreeEdge>& edges = edges_by_mention[mention];
+    if (edges.empty()) continue;
     Result<graph::RootedTree> tree =
         graph::RootedTree::FromOrientedEdges(mention, edges);
     TENET_CHECK(tree.ok()) << tree.status();
     Result<SplitResult> split = SplitTree(tree.value(), bound);
     TENET_CHECK(split.ok()) << split.status();
-    leftovers.push_back(std::move(split.value().leftover));
-    leftover_owner.push_back(mention);
+    accumulators[mention].AddTree(split.value().leftover);
     for (graph::RootedTree& s : split.value().subtrees) {
-      subtrees.push_back(OwnedSubtree{mention, std::move(s)});
+      subtrees.push_back(std::move(s));
     }
   }
   if (stats != nullptr) {
     stats->subtrees = static_cast<int>(subtrees.size());
   }
 
-  std::vector<CoverTreeAccumulator> accumulators;
-  accumulators.reserve(num_mentions);
-  for (int m = 0; m < num_mentions; ++m) accumulators.emplace_back(m);
-  for (size_t i = 0; i < leftovers.size(); ++i) {
-    accumulators[leftover_owner[i]].AddTree(leftovers[i]);
-  }
-
   // ---- Step (f): maximum matching of subtrees to mentions ----------------
   if (!subtrees.empty()) {
-    // Shortest paths from every mention in the pruned graph.
+    // Shortest paths from every mention over the edges of weight <= B.
     std::vector<graph::ShortestPaths> paths;
     paths.reserve(num_mentions);
     for (int m = 0; m < num_mentions; ++m) {
-      paths.push_back(graph::Dijkstra(pruned, m));
+      paths.push_back(graph::DijkstraBounded(g, m, bound));
     }
     graph::HopcroftKarp matcher(num_mentions,
                                 static_cast<int>(subtrees.size()));
@@ -248,7 +191,7 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
       for (size_t s = 0; s < subtrees.size(); ++s) {
         double best = std::numeric_limits<double>::infinity();
         int best_node = -1;
-        for (int node : subtrees[s].tree.nodes()) {
+        for (int node : subtrees[s].nodes()) {
           if (paths[m].distance[node] < best) {
             best = paths[m].distance[node];
             best_node = node;
@@ -271,13 +214,13 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
       int mention = matcher.MatchOfRight(static_cast<int>(s));
       TENET_DCHECK(mention >= 0);
       CoverTreeAccumulator& acc = accumulators[mention];
-      acc.AddTree(subtrees[s].tree);
+      acc.AddTree(subtrees[s]);
       // Shortest path mention -> subtree.
       std::vector<int> path =
-          paths[mention].PathTo(pruned, closest_node[mention][s]);
+          paths[mention].PathTo(g, closest_node[mention][s]);
       for (size_t i = 1; i < path.size(); ++i) {
-        acc.AddEdge(path[i - 1], path[i],
-                    pruned.EdgeWeight(path[i - 1], path[i], 0.0));
+        const int edge_index = paths[mention].predecessor_edge[path[i]];
+        acc.AddEdge(path[i - 1], path[i], g.edges()[edge_index].weight);
       }
     }
   }

@@ -56,6 +56,10 @@ struct TreeCoverStats {
 //   (f) maximum matching (Hopcroft–Karp) of subtrees to mentions within
 //       shortest-path distance <= B, then merge leftover + path + subtree.
 //
+// Every step reads the coherence graph in place: pruning is a weight <= B
+// filter, and the contraction is Kruskal's union-find starting with the
+// mention nodes in one set, so no pruned or contracted copy is built.
+//
 // Returns kBoundTooSmall (the paper's failure warning) when the pruned
 // contracted graph is disconnected or the matching cannot place every
 // subtree.  On success the cover cost is at most 4B (Lemma 4.2).

@@ -29,9 +29,11 @@ struct ShortestPaths {
 /// distances in the coherence graph are by construction in [0, 2]).
 ShortestPaths Dijkstra(const WeightedGraph& g, int source);
 
-/// Dijkstra restricted to edges with weight <= `bound`; used when computing
-/// mention-to-subtree distances in the maximum-matching step of Algorithm 1,
-/// where only edges surviving the pruning may be traversed.
+/// Dijkstra restricted to edges with weight <= `bound`; the maximum-matching
+/// step of Algorithm 1 runs it on the unpruned coherence graph, where only
+/// edges surviving step (a)'s pruning may be traversed.  Heavier edges are
+/// skipped in place, so the incidence order — and every tie-break — is
+/// that of the pruned graph.
 ShortestPaths DijkstraBounded(const WeightedGraph& g, int source,
                               double bound);
 

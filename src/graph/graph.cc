@@ -1,9 +1,8 @@
 #include "graph/graph.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
-#include "graph/union_find.h"
 
 namespace tenet {
 namespace graph {
@@ -13,49 +12,35 @@ WeightedGraph::WeightedGraph(int num_nodes)
   TENET_CHECK_GE(num_nodes, 0);
 }
 
-uint64_t WeightedGraph::EdgeKey(int u, int v) const {
-  uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-  uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-  return (hi << 32) | lo;
-}
-
 int WeightedGraph::AddEdge(int u, int v, double weight) {
   TENET_CHECK(u >= 0 && u < num_nodes_) << "bad node " << u;
   TENET_CHECK(v >= 0 && v < num_nodes_) << "bad node " << v;
   if (u == v) return -1;
-  uint64_t key = EdgeKey(u, v);
-  auto it = edge_index_by_key_.find(key);
-  if (it != edge_index_by_key_.end()) {
-    Edge& existing = edges_[it->second];
-    existing.weight = std::min(existing.weight, weight);
-    return it->second;
-  }
+  TENET_DCHECK(FindEdge(u, v) < 0) << "edge " << u << "-" << v << " twice";
   int index = static_cast<int>(edges_.size());
   edges_.push_back(Edge{u, v, weight});
   incident_[u].push_back(index);
   incident_[v].push_back(index);
-  edge_index_by_key_.emplace(key, index);
   return index;
 }
 
-double WeightedGraph::EdgeWeight(int u, int v, double missing) const {
+int WeightedGraph::FindEdge(int u, int v) const {
   if (u == v || u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_) {
-    return missing;
+    return -1;
   }
-  uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-  uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-  auto it = edge_index_by_key_.find((hi << 32) | lo);
-  return it == edge_index_by_key_.end() ? missing : edges_[it->second].weight;
+  if (incident_[v].size() < incident_[u].size()) std::swap(u, v);
+  for (int edge_index : incident_[u]) {
+    if (OtherEndpoint(edge_index, u) == v) return edge_index;
+  }
+  return -1;
 }
 
-bool WeightedGraph::HasEdge(int u, int v) const {
-  if (u == v || u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_) {
-    return false;
-  }
-  uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-  uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-  return edge_index_by_key_.count((hi << 32) | lo) > 0;
+double WeightedGraph::EdgeWeight(int u, int v, double missing) const {
+  int edge_index = FindEdge(u, v);
+  return edge_index < 0 ? missing : edges_[edge_index].weight;
 }
+
+bool WeightedGraph::HasEdge(int u, int v) const { return FindEdge(u, v) >= 0; }
 
 const std::vector<int>& WeightedGraph::IncidentEdges(int node) const {
   TENET_CHECK(node >= 0 && node < num_nodes_);
@@ -66,20 +51,6 @@ int WeightedGraph::OtherEndpoint(int edge_index, int node) const {
   const Edge& e = edges_[edge_index];
   TENET_DCHECK(e.u == node || e.v == node);
   return e.u == node ? e.v : e.u;
-}
-
-WeightedGraph WeightedGraph::PrunedCopy(double bound) const {
-  WeightedGraph pruned(num_nodes_);
-  for (const Edge& e : edges_) {
-    if (e.weight <= bound) pruned.AddEdge(e.u, e.v, e.weight);
-  }
-  return pruned;
-}
-
-int WeightedGraph::NumConnectedComponents() const {
-  UnionFind uf(num_nodes_);
-  for (const Edge& e : edges_) uf.Union(e.u, e.v);
-  return uf.num_sets();
 }
 
 }  // namespace graph

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <tuple>
 
 #include "common/logging.h"
 #include "graph/union_find.h"
@@ -10,11 +11,16 @@
 namespace tenet {
 namespace graph {
 
-SpanningForest KruskalMst(const WeightedGraph& g) {
+SpanningForest KruskalMst(const WeightedGraph& g, double bound,
+                          int num_contracted) {
+  TENET_CHECK(num_contracted >= 0 && num_contracted <= g.num_nodes());
   SpanningForest result;
-  std::vector<int> order(g.num_edges());
-  for (int i = 0; i < g.num_edges(); ++i) order[i] = i;
   const std::vector<Edge>& edges = g.edges();
+  std::vector<int> order;
+  order.reserve(edges.size());
+  for (int i = 0; i < g.num_edges(); ++i) {
+    if (edges[i].weight <= bound) order.push_back(i);
+  }
   std::sort(order.begin(), order.end(), [&edges](int a, int b) {
     if (edges[a].weight != edges[b].weight) {
       return edges[a].weight < edges[b].weight;
@@ -23,6 +29,7 @@ SpanningForest KruskalMst(const WeightedGraph& g) {
   });
 
   UnionFind uf(g.num_nodes());
+  for (int node = 1; node < num_contracted; ++node) uf.Union(0, node);
   for (int idx : order) {
     const Edge& e = edges[idx];
     if (uf.Union(e.u, e.v)) {

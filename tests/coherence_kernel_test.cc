@@ -1,9 +1,10 @@
 // The vectorized coherence kernel's contract (DESIGN.md §10): the DotUnit
 // reduction, the unit-row store, the gathered/tiled batch path and the
-// similarity cache must all produce the SAME numbers — bit-identical edge
-// weights, identical links, identical PRF — whatever the kernel
-// configuration.  The golden equivalence tests here are what lets the
-// performance work claim "numerically invisible".
+// similarity cache must all produce the SAME numbers as the scalar oracle
+// below (one KbView::Cosine call per pair) — bit-identical edge weights,
+// identical links, identical PRF — whatever the cache state.  The golden
+// equivalence tests here are what lets the performance work claim
+// "numerically invisible".
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +14,6 @@
 #include "baselines/tenet_linker.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/coherence_graph.h"
 #include "core/mention.h"
 #include "datasets/corpus_generator.h"
@@ -22,6 +22,7 @@
 #include "embedding/embedding_store.h"
 #include "embedding/similarity_cache.h"
 #include "eval/harness.h"
+#include "obs/metrics.h"
 #include "text/extraction.h"
 
 namespace tenet {
@@ -150,33 +151,62 @@ TEST(EmbeddingStoreKernelTest, GatherIsOneDependencyOperation) {
 
 // --- Golden equivalence ---------------------------------------------------
 
+// Calls fn(u, v, a, b) for every concept pair of `cg` that Build connects
+// (Eqs. 3-5), in lexicographic (u, v) node order.
+template <typename Fn>
+void ForEachCoherentPair(const CoherenceGraph& cg, Fn&& fn) {
+  for (int u = cg.num_mentions(); u < cg.num_nodes(); ++u) {
+    const CoherenceGraph::ConceptNode& a = cg.concept_node(u);
+    for (int v = u + 1; v < cg.num_nodes(); ++v) {
+      const CoherenceGraph::ConceptNode& b = cg.concept_node(v);
+      if (a.mention == b.mention) continue;
+      if (!(a.ref.is_entity() && b.ref.is_entity()) &&
+          !cg.mentions().mention(a.mention).SharesSentence(
+              cg.mentions().mention(b.mention))) {
+        continue;
+      }
+      fn(u, v, a.ref, b.ref);
+    }
+  }
+}
+
+// The scalar oracle: the edge list Build must produce, with one
+// KbView::Cosine call — one dependency operation — per connected pair.
+std::vector<graph::Edge> ScalarOracleEdges(const CoherenceGraph& cg,
+                                           const kb::KbView& view) {
+  std::vector<graph::Edge> edges;
+  for (int m = 0; m < cg.num_mentions(); ++m) {
+    for (int node : cg.ConceptNodesOfMention(m)) {
+      edges.push_back(graph::Edge{m, node, 1.0 - cg.concept_node(node).prior});
+    }
+  }
+  ForEachCoherentPair(cg, [&](int u, int v, kb::ConceptRef a,
+                              kb::ConceptRef b) {
+    edges.push_back(graph::Edge{u, v, 1.0 - view.Cosine(a, b)});
+  });
+  return edges;
+}
+
 TEST(CoherenceKernelGoldenTest, EdgeListsAreBitIdenticalAcrossConfigs) {
   datasets::Dataset news = SmallNews(47);
 
-  CoherenceGraphOptions legacy_options;
-  legacy_options.use_gather_kernel = false;
-  CoherenceGraphBuilder legacy(&World().kb(), &World().embeddings,
-                               legacy_options);
   CoherenceGraphBuilder gather_serial(&World().kb(), &World().embeddings);
-
-  ThreadPool pool(ThreadPool::Options{.num_threads = 3});
   embedding::SimilarityCache cache;
-  CoherenceGraphOptions pooled_options;
-  pooled_options.pool = &pool;
-  pooled_options.similarity_cache = &cache;
-  CoherenceGraphBuilder pooled(&World().kb(), &World().embeddings,
-                               pooled_options);
+  CoherenceGraphOptions cached_options;
+  cached_options.similarity_cache = &cache;
+  CoherenceGraphBuilder cached(&World().kb(), &World().embeddings,
+                               cached_options);
 
   int compared_edges = 0;
   for (int pass = 0; pass < 2; ++pass) {  // pass 2 runs with a warm cache
     for (const datasets::Document& doc : news.documents) {
-      CoherenceGraph a = legacy.Build(MentionsOf(doc.text));
       CoherenceGraph b = gather_serial.Build(MentionsOf(doc.text));
-      CoherenceGraph c = pooled.Build(MentionsOf(doc.text));
-      ASSERT_EQ(a.graph().num_edges(), b.graph().num_edges());
-      ASSERT_EQ(a.graph().num_edges(), c.graph().num_edges());
-      for (int e = 0; e < a.graph().num_edges(); ++e) {
-        const graph::Edge& ea = a.graph().edges()[e];
+      CoherenceGraph c = cached.Build(MentionsOf(doc.text));
+      std::vector<graph::Edge> a = ScalarOracleEdges(b, gather_serial.view());
+      ASSERT_EQ(static_cast<int>(a.size()), b.graph().num_edges());
+      ASSERT_EQ(static_cast<int>(a.size()), c.graph().num_edges());
+      for (size_t e = 0; e < a.size(); ++e) {
+        const graph::Edge& ea = a[e];
         const graph::Edge& eb = b.graph().edges()[e];
         const graph::Edge& ec = c.graph().edges()[e];
         ASSERT_EQ(ea.u, eb.u);
@@ -197,24 +227,42 @@ TEST(CoherenceKernelGoldenTest, EdgeListsAreBitIdenticalAcrossConfigs) {
 TEST(CoherenceKernelGoldenTest, EndToEndPrfIsByteIdentical) {
   datasets::Dataset news = SmallNews(48);
 
-  CoherenceGraphOptions legacy_options;
-  legacy_options.use_gather_kernel = false;
-  ThreadPool pool(ThreadPool::Options{.num_threads = 3});
-  embedding::SimilarityCache cache;
-  CoherenceGraphOptions pooled_options;
-  pooled_options.pool = &pool;
-  pooled_options.similarity_cache = &cache;
+  // The oracle run: a cache holding the scalar oracle's cosine for every
+  // connected pair of every document, so each edge weight the pipeline
+  // uses comes from KbView::Cosine rather than the gathered kernel.
+  obs::MetricsRegistry oracle_metrics;  // counts this cache's misses alone
+  embedding::SimilarityCacheOptions roomy;
+  roomy.max_entries = 1 << 20;
+  roomy.metrics = &oracle_metrics;
+  embedding::SimilarityCache oracle_cache(roomy);
+  CoherenceGraphBuilder builder(&World().kb(), &World().embeddings);
+  for (const datasets::Document& doc : news.documents) {
+    CoherenceGraph cg = builder.Build(MentionsOf(doc.text));
+    ForEachCoherentPair(cg, [&](int, int, kb::ConceptRef a,
+                                kb::ConceptRef b) {
+      oracle_cache.Insert(a, b, builder.view().Cosine(a, b));
+    });
+  }
+  CoherenceGraphOptions oracle_options;
+  oracle_options.similarity_cache = &oracle_cache;
 
-  baselines::TenetLinker legacy(baselines::BaselineSubstrate{
+  embedding::SimilarityCache cache;
+  CoherenceGraphOptions cached_options;
+  cached_options.similarity_cache = &cache;
+
+  baselines::TenetLinker oracle(baselines::BaselineSubstrate{
       &World().kb(), &World().embeddings, &World().gazetteer(),
-      legacy_options, {}});
+      oracle_options, {}});
   baselines::TenetLinker vectorized(baselines::BaselineSubstrate{
       &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}});
   baselines::TenetLinker cached(baselines::BaselineSubstrate{
       &World().kb(), &World().embeddings, &World().gazetteer(),
-      pooled_options, {}});
+      cached_options, {}});
 
-  eval::SystemScores a = eval::EvaluateEndToEnd(legacy, news);
+  eval::SystemScores a = eval::EvaluateEndToEnd(oracle, news);
+  ASSERT_GT(oracle_cache.GetStats().hits, 0);
+  ASSERT_EQ(oracle_cache.GetStats().misses, 0)
+      << "a pair the pipeline compared was missing from the oracle";
   eval::SystemScores b = eval::EvaluateEndToEnd(vectorized, news);
   // Two cached runs: cold cache, then warm (every pair already resident).
   eval::SystemScores c_cold = eval::EvaluateEndToEnd(cached, news);

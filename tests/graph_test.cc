@@ -10,7 +10,6 @@ TEST(WeightedGraphTest, EmptyGraph) {
   WeightedGraph g(0);
   EXPECT_EQ(g.num_nodes(), 0);
   EXPECT_EQ(g.num_edges(), 0);
-  EXPECT_EQ(g.NumConnectedComponents(), 0);
 }
 
 TEST(WeightedGraphTest, AddAndQueryEdges) {
@@ -32,17 +31,6 @@ TEST(WeightedGraphTest, SelfLoopIgnored) {
   EXPECT_FALSE(g.HasEdge(1, 1));
 }
 
-TEST(WeightedGraphTest, ParallelEdgeKeepsMinimum) {
-  WeightedGraph g(3);
-  int first = g.AddEdge(0, 1, 0.8);
-  int second = g.AddEdge(1, 0, 0.3);
-  int third = g.AddEdge(0, 1, 0.9);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, third);
-  EXPECT_EQ(g.num_edges(), 1);
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(0, 1, -1.0), 0.3);
-}
-
 TEST(WeightedGraphTest, IncidentEdgesAndOtherEndpoint) {
   WeightedGraph g(4);
   g.AddEdge(0, 1, 1.0);
@@ -56,40 +44,6 @@ TEST(WeightedGraphTest, IncidentEdgesAndOtherEndpoint) {
   }
   EXPECT_EQ(g.IncidentEdges(1).size(), 1u);
   EXPECT_EQ(g.OtherEndpoint(g.IncidentEdges(1)[0], 1), 0);
-}
-
-TEST(WeightedGraphTest, PrunedCopyDropsHeavyEdges) {
-  WeightedGraph g(4);
-  g.AddEdge(0, 1, 0.2);
-  g.AddEdge(1, 2, 0.6);
-  g.AddEdge(2, 3, 1.5);
-  WeightedGraph pruned = g.PrunedCopy(0.6);
-  EXPECT_EQ(pruned.num_edges(), 2);
-  EXPECT_TRUE(pruned.HasEdge(0, 1));
-  EXPECT_TRUE(pruned.HasEdge(1, 2));
-  EXPECT_FALSE(pruned.HasEdge(2, 3));
-  // The original is untouched.
-  EXPECT_EQ(g.num_edges(), 3);
-}
-
-TEST(WeightedGraphTest, PruningBoundIsInclusive) {
-  WeightedGraph g(2);
-  g.AddEdge(0, 1, 0.6);
-  EXPECT_EQ(g.PrunedCopy(0.6).num_edges(), 1);
-  EXPECT_EQ(g.PrunedCopy(0.5999).num_edges(), 0);
-}
-
-TEST(WeightedGraphTest, ConnectedComponents) {
-  WeightedGraph g(6);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(1, 2, 1.0);
-  g.AddEdge(3, 4, 1.0);
-  // node 5 isolated
-  EXPECT_EQ(g.NumConnectedComponents(), 3);
-  g.AddEdge(2, 3, 1.0);
-  EXPECT_EQ(g.NumConnectedComponents(), 2);
-  g.AddEdge(5, 0, 1.0);
-  EXPECT_EQ(g.NumConnectedComponents(), 1);
 }
 
 }  // namespace

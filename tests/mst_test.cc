@@ -1,6 +1,8 @@
 #include "graph/mst.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,38 @@ TEST(KruskalTest, SingleNodeSpansTrivially) {
   SpanningForest mst = KruskalMst(g);
   EXPECT_TRUE(mst.spans_all);
   EXPECT_TRUE(mst.edge_indices.empty());
+}
+
+TEST(KruskalTest, BoundSkipsHeavierEdgesInclusively) {
+  WeightedGraph g(3);
+  g.AddEdge(0, 1, 0.5);
+  g.AddEdge(1, 2, 0.6);
+  SpanningForest at = KruskalMst(g, /*bound=*/0.6);
+  EXPECT_TRUE(at.spans_all);
+  EXPECT_EQ(at.edge_indices, (std::vector<int>{0, 1}));
+  SpanningForest below = KruskalMst(g, /*bound=*/0.5999);
+  EXPECT_FALSE(below.spans_all);
+  EXPECT_EQ(below.edge_indices, std::vector<int>{0});
+}
+
+TEST(KruskalTest, ContractedPrefixActsAsOneRoot) {
+  // Nodes 0 and 1 are contracted into one root: of the two edges into
+  // node 2 only the cheaper joins, and the root needs no edge of its own.
+  WeightedGraph g(4);
+  g.AddEdge(0, 2, 0.4);
+  g.AddEdge(1, 2, 0.3);
+  g.AddEdge(1, 3, 0.9);
+  g.AddEdge(2, 3, 0.2);
+  SpanningForest mst = KruskalMst(
+      g, std::numeric_limits<double>::infinity(), /*num_contracted=*/2);
+  EXPECT_TRUE(mst.spans_all);
+  EXPECT_EQ(mst.edge_indices, (std::vector<int>{3, 1}));
+  EXPECT_DOUBLE_EQ(mst.total_weight, 0.5);
+  // Without the edge into the contracted root, 2-3 float apart from it.
+  WeightedGraph apart(4);
+  apart.AddEdge(0, 1, 0.1);
+  apart.AddEdge(2, 3, 0.2);
+  EXPECT_FALSE(KruskalMst(apart, 1.0, /*num_contracted=*/2).spans_all);
 }
 
 TEST(PrimTest, MatchesKruskalOnTriangle) {

@@ -1,6 +1,7 @@
 #include "core/tree_cover.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -138,6 +139,29 @@ TEST(TreeCoverTest, TinyBoundYieldsFailureWarning) {
   Result<TreeCover> cover = solver.Solve(cg, 1e-6);
   ASSERT_FALSE(cover.ok());
   EXPECT_TRUE(cover.status().IsBoundTooSmall());
+}
+
+TEST(TreeCoverTest, PruningBoundIsInclusive) {
+  // Step (a) drops only edges strictly heavier than B: at B equal to the
+  // heaviest edge weight nothing is pruned; just below it, every edge of
+  // that weight is.
+  testing_support::FigureOneWorld world = testing_support::BuildFigureOneWorld();
+  CoherenceGraph cg = BuildFigureOneGraph(world);
+  double heaviest = 0.0;
+  for (const graph::Edge& e : cg.graph().edges()) {
+    heaviest = std::max(heaviest, e.weight);
+  }
+  ASSERT_GT(heaviest, 0.0);
+  const int at_heaviest = static_cast<int>(std::count_if(
+      cg.graph().edges().begin(), cg.graph().edges().end(),
+      [heaviest](const graph::Edge& e) { return e.weight == heaviest; }));
+  TreeCoverSolver solver;
+  TreeCoverStats stats;
+  (void)solver.Solve(cg, heaviest, &stats);
+  EXPECT_EQ(stats.pruned_edges, 0);
+  TreeCoverStats below;
+  (void)solver.Solve(cg, std::nextafter(heaviest, 0.0), &below);
+  EXPECT_EQ(below.pruned_edges, at_heaviest);
 }
 
 TEST(TreeCoverTest, InvalidBoundRejected) {
