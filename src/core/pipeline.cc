@@ -1,23 +1,18 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <optional>
-#include <queue>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/pair_link.h"
 #include "embedding/similarity_cache.h"
 #include "obs/metrics.h"
 
 namespace tenet {
 namespace core {
 namespace {
-
-using TopCandidate = std::optional<std::pair<kb::ConceptRef, double>>;
 
 // The pipeline's metric families, resolved once against the default
 // registry and cached (Get* takes a lock; the cached pointers do not).
@@ -138,11 +133,11 @@ void RecordFullDocument(const PipelineTimings& timings) {
 // most confident under the priors — the degraded stand-in for
 // coherence-driven canopy resolution, shared by the prior-only and
 // pair-link rungs so the two differ only in disambiguation, never in
-// segmentation.  `top(mention_id)` yields the best candidate or nullopt.
+// segmentation.  `top[m]` is mention m's top-prior candidate or null.
 // Returned pointers alias `universe` and stay valid while it lives.
-template <typename TopFn>
 std::vector<const std::vector<int>*> SelectPriorReadings(
-    const MentionSet& universe, TopFn&& top) {
+    const MentionSet& universe,
+    const std::vector<const PairLinkCandidate*>& top) {
   std::vector<const std::vector<int>*> readings;
   readings.reserve(universe.num_groups());
   for (int g = 0; g < universe.num_groups(); ++g) {
@@ -153,7 +148,7 @@ std::vector<const std::vector<int>*> SelectPriorReadings(
     for (size_t k = 0; k < group.canopies.size(); ++k) {
       double score = 0.0;
       for (int m : group.canopies[k].mentions) {
-        if (TopCandidate c = top(m)) score += c->second;
+        if (top[m] != nullptr) score += top[m]->prior;
       }
       // Mean confidence, not mass: summing lets two mediocre fragments
       // outscore the composite reading they chop up ("Keystone Foundation"
@@ -179,196 +174,45 @@ std::vector<const std::vector<int>*> SelectPriorReadings(
   return readings;
 }
 
-// Shared assembly of the prior-only fallback: every mention of the winning
-// canopy links to its top-prior candidate.  Mentions without candidates
-// are reported isolated, exactly like the full path.
-template <typename TopFn>
-LinkingResult AssemblePriorOnly(const MentionSet& universe, TopFn&& top) {
-  LinkingResult result;
-  for (const std::vector<int>* reading :
-       SelectPriorReadings(universe, top)) {
-    for (int m : *reading) {
-      result.selected_mentions.push_back(m);
-      TopCandidate c = top(m);
-      if (!c.has_value()) {
-        result.isolated_mentions.push_back(m);
-        continue;
-      }
-      LinkedConcept link;
-      link.mention_id = m;
-      link.surface = universe.mention(m).surface;
-      link.kind = universe.mention(m).kind;
-      link.concept_ref = c->first;
-      link.prior = c->second;
-      result.links.push_back(std::move(link));
-    }
-  }
-  std::sort(result.links.begin(), result.links.end(),
-            [](const LinkedConcept& a, const LinkedConcept& b) {
-              return a.mention_id < b.mention_id;
-            });
-  std::sort(result.selected_mentions.begin(), result.selected_mentions.end());
-  std::sort(result.isolated_mentions.begin(), result.isolated_mentions.end());
-  return result;
-}
+// Records a degraded document against the registry and the trace.  The
+// rung's assembly is the document's (degraded) disambiguation stage: it
+// feeds the per-stage family — under the pairlink label for the sweep — so
+// stage sums stay equal to summed PipelineTimings either way.
+void FinishDegraded(DegradationInfo::Mode mode, std::string reason,
+                    int stages_degraded, int pairs_confirmed,
+                    PipelineTimings timings, const LinkContext& context,
+                    LinkingResult* result) {
+  const bool pair_link = mode == DegradationInfo::Mode::kPairLink;
+  result->timings = timings;
+  result->degradation.mode = mode;
+  result->degradation.stages_degraded = stages_degraded;
+  result->degradation.pairs_confirmed = pairs_confirmed;
 
-// One pair-link candidate of a mention: the concept, its prior and — for
-// the from-graph variant — its node id in the coherence graph.
-struct PairLinkCandidate {
-  kb::ConceptRef ref;
-  double prior = 0.0;
-  int node = -1;
-};
-
-struct PairLinkSweepStats {
-  int pairs_confirmed = 0;
-  bool deadline_hit = false;
-};
-
-// The pair-link rung (DESIGN.md §16).  Segmentation is the prior-only
-// rung's (winning canopy by mean prior); disambiguation is Phan et al.'s
-// greedy pair-linking over the selected noun mentions: a priority queue of
-// candidate pairs scored by
-//   similarity_weight * cos + prior_weight * mean prior,
-// confirmed best-pair-first.  Entries start with the optimistic bound
-// cos = 1, so the (expensive) similarity is only computed for pairs that
-// actually reach the top of the queue — a popped exact entry dominates
-// every bound below it and is safe to confirm.  A mention already
-// committed only vouches for pairs agreeing with its committed candidate.
-// Deadline expiry mid-sweep stops confirming; whatever is still unassigned
-// (and every relational mention — pair-linking is an entity
-// disambiguation algorithm) is topped up from priors.  Deterministic:
-// ties break on the (mention, candidate) ids, exact entries first.
-template <typename SimFn>
-LinkingResult AssemblePairLink(
-    const MentionSet& universe,
-    const std::vector<std::vector<PairLinkCandidate>>& cands,
-    const PairLinkOptions& opts, const Deadline& deadline, SimFn&& sim,
-    PairLinkSweepStats* stats) {
-  auto top_of = [&cands](int m) -> const PairLinkCandidate* {
-    const PairLinkCandidate* best = nullptr;
-    for (const PairLinkCandidate& c : cands[m]) {
-      if (best == nullptr || c.prior > best->prior) best = &c;
-    }
-    return best;
-  };
-  auto top = [&top_of](int m) -> TopCandidate {
-    const PairLinkCandidate* best = top_of(m);
-    if (best == nullptr) return std::nullopt;
-    return std::make_pair(best->ref, best->prior);
-  };
-  std::vector<const std::vector<int>*> readings =
-      SelectPriorReadings(universe, top);
-
-  // The sweep participants: selected noun mentions with candidates.
-  std::vector<int> nouns;
-  for (const std::vector<int>* reading : readings) {
-    for (int m : *reading) {
-      if (universe.mention(m).is_noun() && !cands[m].empty()) {
-        nouns.push_back(m);
-      }
-    }
-  }
-  std::sort(nouns.begin(), nouns.end());
-
-  struct Entry {
-    double score;
-    bool exact;
-    int i, a, j, b;  // indices into `nouns` / their candidate lists
-  };
-  auto worse = [](const Entry& x, const Entry& y) {
-    if (x.score != y.score) return x.score < y.score;
-    if (x.exact != y.exact) return y.exact;
-    return std::tie(x.i, x.a, x.j, x.b) > std::tie(y.i, y.a, y.j, y.b);
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> queue(
-      worse);
-  for (size_t i = 0; i < nouns.size(); ++i) {
-    for (size_t j = i + 1; j < nouns.size(); ++j) {
-      const auto& ci = cands[nouns[i]];
-      const auto& cj = cands[nouns[j]];
-      for (size_t a = 0; a < ci.size(); ++a) {
-        for (size_t b = 0; b < cj.size(); ++b) {
-          const double bound = opts.similarity_weight +
-                               opts.prior_weight * 0.5 *
-                                   (ci[a].prior + cj[b].prior);
-          queue.push(Entry{bound, /*exact=*/false, static_cast<int>(i),
-                           static_cast<int>(a), static_cast<int>(j),
-                           static_cast<int>(b)});
-        }
-      }
-    }
+  const PipelineMetrics& m = Metrics();
+  (pair_link ? m.stage_pairlink : m.stage_disambiguate)
+      ->Observe(timings.disambiguate_ms);
+  (pair_link ? m.documents_pair_link : m.documents_prior_only)->Increment();
+  (pair_link ? m.latency_pair_link : m.latency_prior_only)
+      ->Observe(timings.TotalMs());
+  if (stages_degraded >= 1 && stages_degraded <= 3) {
+    m.degraded_by_rung[stages_degraded]->Increment();
   }
 
-  std::vector<int> assigned(nouns.size(), -1);
-  size_t num_assigned = 0;
-  while (!queue.empty() && num_assigned < nouns.size()) {
-    if (deadline.expired()) {
-      stats->deadline_hit = true;
-      break;
-    }
-    Entry e = queue.top();
-    queue.pop();
-    const bool i_done = assigned[e.i] >= 0;
-    const bool j_done = assigned[e.j] >= 0;
-    if (i_done && j_done) continue;
-    if (i_done && assigned[e.i] != e.a) continue;
-    if (j_done && assigned[e.j] != e.b) continue;
-    if (!e.exact) {
-      const PairLinkCandidate& u = cands[nouns[e.i]][e.a];
-      const PairLinkCandidate& v = cands[nouns[e.j]][e.b];
-      e.score = opts.similarity_weight * sim(u, v) +
-                opts.prior_weight * 0.5 * (u.prior + v.prior);
-      e.exact = true;
-      queue.push(e);
-      continue;
-    }
-    if (!i_done) {
-      assigned[e.i] = e.a;
-      ++num_assigned;
-    }
-    if (!j_done) {
-      assigned[e.j] = e.b;
-      ++num_assigned;
-    }
-    ++stats->pairs_confirmed;
-  }
-
-  std::unordered_map<int, const PairLinkCandidate*> chosen;
-  chosen.reserve(nouns.size());
-  for (size_t idx = 0; idx < nouns.size(); ++idx) {
-    chosen.emplace(nouns[idx], assigned[idx] >= 0
-                                   ? &cands[nouns[idx]][assigned[idx]]
-                                   : top_of(nouns[idx]));
-  }
-
-  LinkingResult result;
-  for (const std::vector<int>* reading : readings) {
-    for (int m : *reading) {
-      result.selected_mentions.push_back(m);
-      auto it = chosen.find(m);
-      const PairLinkCandidate* pick =
-          it != chosen.end() ? it->second : top_of(m);
-      if (pick == nullptr) {
-        result.isolated_mentions.push_back(m);
-        continue;
-      }
-      LinkedConcept link;
-      link.mention_id = m;
-      link.surface = universe.mention(m).surface;
-      link.kind = universe.mention(m).kind;
-      link.concept_ref = pick->ref;
-      link.prior = pick->prior;
-      result.links.push_back(std::move(link));
+  if (context.trace != nullptr) {
+    const std::string mode_name(DegradationModeToString(mode));
+    int span = context.trace->StartSpan(mode_name);
+    context.trace->EndSpan(span, timings.disambiguate_ms);
+    context.trace->Annotate("degraded_mode", mode_name);
+    context.trace->Annotate("degraded_reason", reason);
+    context.trace->Annotate("stages_degraded",
+                            std::string(1, static_cast<char>(
+                                               '0' + stages_degraded)));
+    if (pair_link) {
+      context.trace->Annotate("pairs_confirmed",
+                              std::to_string(pairs_confirmed));
     }
   }
-  std::sort(result.links.begin(), result.links.end(),
-            [](const LinkedConcept& a, const LinkedConcept& b) {
-              return a.mention_id < b.mention_id;
-            });
-  std::sort(result.selected_mentions.begin(), result.selected_mentions.end());
-  std::sort(result.isolated_mentions.begin(), result.isolated_mentions.end());
-  return result;
+  result->degradation.reason = std::move(reason);
 }
 
 }  // namespace
@@ -496,9 +340,10 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
       return Status::DeadlineExceeded(
           "deadline expired before the coherence stage");
     }
-    return PriorOnlyFromMentions(std::move(mentions),
-                                 "deadline expired before the coherence stage",
-                                 /*stages_degraded=*/3, timings, context);
+    return ServeDegraded(DegradationInfo::Mode::kPriorOnly, nullptr,
+                         std::move(mentions),
+                         "deadline expired before the coherence stage",
+                         /*stages_degraded=*/3, timings, context, deadline);
   }
 
   // ---- Pair-link rung at entry: forced, breaker-capped, or the budget is
@@ -517,9 +362,9 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
       reason = "budget below the full-pipeline floor";
     }
     if (!reason.empty()) {
-      return PairLinkFromMentions(std::move(mentions), std::move(reason),
-                                  /*stages_degraded=*/3, timings, context,
-                                  deadline);
+      return ServeDegraded(DegradationInfo::Mode::kPairLink, nullptr,
+                           std::move(mentions), std::move(reason),
+                           /*stages_degraded=*/3, timings, context, deadline);
     }
   }
 
@@ -571,12 +416,11 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
   if (!interrupted.ok() || !cover.ok()) {
     Status cause = !interrupted.ok() ? interrupted : cover.status();
     if (!options_.degrade_to_prior) return cause;
-    if (pair_link.enabled && !deadline.expired()) {
-      return PairLinkFromGraph(cg, cause.ToString(), /*stages_degraded=*/2,
-                               timings, context, deadline);
-    }
-    return PriorOnlyFromGraph(cg, cause.ToString(), /*stages_degraded=*/2,
-                              timings, context);
+    return ServeDegraded(pair_link.enabled && !deadline.expired()
+                             ? DegradationInfo::Mode::kPairLink
+                             : DegradationInfo::Mode::kPriorOnly,
+                         &cg, cg.mentions(), cause.ToString(),
+                         /*stages_degraded=*/2, timings, context, deadline);
   }
 
   // ---- Rung 2: cover done but budget gone -> degrade the last stage ------
@@ -585,8 +429,10 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
       return Status::DeadlineExceeded(
           "deadline expired before disambiguation");
     }
-    return PriorOnlyFromGraph(cg, "deadline expired before disambiguation",
-                              /*stages_degraded=*/1, timings, context);
+    return ServeDegraded(DegradationInfo::Mode::kPriorOnly, &cg,
+                         cg.mentions(),
+                         "deadline expired before disambiguation",
+                         /*stages_degraded=*/1, timings, context, deadline);
   }
 
   result.used_bound = schedule.value();
@@ -641,221 +487,130 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
   return result;
 }
 
-void TenetPipeline::FinishPriorOnly(std::string reason, int stages_degraded,
-                                    PipelineTimings timings,
-                                    const LinkContext& context,
-                                    LinkingResult* result) const {
-  result->timings = timings;
-  result->degradation.mode = DegradationInfo::Mode::kPriorOnly;
-  result->degradation.stages_degraded = stages_degraded;
-
-  const PipelineMetrics& m = Metrics();
-  // The fallback assembly is the document's (degraded) disambiguation
-  // stage: its latency belongs to the same per-stage family the full path
-  // feeds, so stage sums stay equal to summed PipelineTimings either way.
-  m.stage_disambiguate->Observe(timings.disambiguate_ms);
-  m.documents_prior_only->Increment();
-  m.latency_prior_only->Observe(timings.TotalMs());
-  if (stages_degraded >= 1 && stages_degraded <= 3) {
-    m.degraded_by_rung[stages_degraded]->Increment();
-  }
-
-  if (context.trace != nullptr) {
-    int span = context.trace->StartSpan("prior_only");
-    context.trace->EndSpan(span, timings.disambiguate_ms);
-    context.trace->Annotate("degraded_mode", "prior_only");
-    context.trace->Annotate("degraded_reason", reason);
-    context.trace->Annotate("stages_degraded",
-                            std::string(1, static_cast<char>(
-                                               '0' + stages_degraded)));
-  }
-  result->degradation.reason = std::move(reason);
-}
-
-Result<LinkingResult> TenetPipeline::PriorOnlyFromMentions(
-    MentionSet mentions, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context) const {
+Result<LinkingResult> TenetPipeline::ServeDegraded(
+    DegradationInfo::Mode mode, const CoherenceGraph* cg, MentionSet mentions,
+    std::string reason, int stages_degraded, PipelineTimings timings,
+    const LinkContext& context, const Deadline& deadline) const {
   WallTimer timer;
   const MentionSet& universe = mentions;
-  // Same candidate budget as the coherence graph, so the degraded path sees
-  // the identical renormalized top-k prior distribution per mention.
-  const int top_k = options_.graph.max_candidates_per_mention;
-  int64_t candidate_overflow = 0;
-  auto top = [this, &universe, top_k,
-              &candidate_overflow](int m) -> TopCandidate {
-    const Mention& mention = universe.mention(m);
-    int overflow = 0;
-    if (mention.is_noun()) {
-      std::vector<kb::EntityCandidate> candidates = view_->CandidateEntities(
-          mention.surface, mention.type, top_k, &overflow);
+  PairLinkCandidateTable cands;
+  PairSimilarity sim;
+  if (cg != nullptr) {
+    cands = CandidateTableOf(*cg);
+    // Graph edge weights are 1 - cos.  The coherence graph is never pruned:
+    // a missing edge is a same-mention pair or a pair that shares no
+    // sentence, and reads as zero similarity, which the optimistic bound
+    // then corrects.  No KB or embedding dependency is touched, which is
+    // what makes this source safe under a faulted cover solver.
+    sim = [cg](const PairLinkCandidate& u, const PairLinkCandidate& v) {
+      return 1.0 - cg->graph().EdgeWeight(u.node, v.node, /*missing=*/1.0);
+    };
+  } else {
+    // Same candidate budget as the coherence graph, so the rung sees the
+    // identical renormalized top-k prior distribution per mention; each
+    // mention is looked up exactly once.
+    const int top_k = options_.graph.max_candidates_per_mention;
+    int64_t candidate_overflow = 0;
+    cands.resize(universe.num_mentions());
+    for (int m = 0; m < universe.num_mentions(); ++m) {
+      const Mention& mention = universe.mention(m);
+      int overflow = 0;
+      if (mention.is_noun()) {
+        for (const kb::EntityCandidate& c : view_->CandidateEntities(
+                 mention.surface, mention.type, top_k, &overflow)) {
+          cands[m].push_back(
+              PairLinkCandidate{kb::ConceptRef::Entity(c.entity), c.prior});
+        }
+      } else {
+        for (const kb::PredicateCandidate& c : view_->CandidatePredicates(
+                 mention.surface, top_k, &overflow)) {
+          cands[m].push_back(PairLinkCandidate{
+              kb::ConceptRef::Predicate(c.predicate), c.prior});
+        }
+      }
       candidate_overflow += overflow;
-      if (candidates.empty()) return std::nullopt;
-      return std::make_pair(kb::ConceptRef::Entity(candidates.front().entity),
-                            candidates.front().prior);
     }
-    std::vector<kb::PredicateCandidate> candidates =
-        view_->CandidatePredicates(mention.surface, top_k, &overflow);
-    candidate_overflow += overflow;
-    if (candidates.empty()) return std::nullopt;
-    return std::make_pair(
-        kb::ConceptRef::Predicate(candidates.front().predicate),
-        candidates.front().prior);
-  };
-  LinkingResult result = AssemblePriorOnly(universe, top);
-  text::RecordInputTruncated(text::InputTruncateReason::kCandidates,
-                             candidate_overflow);
-  result.mentions = std::move(mentions);
-  timings.disambiguate_ms = timer.ElapsedMillis();
-  FinishPriorOnly(std::move(reason), stages_degraded, timings, context,
-                  &result);
-  return result;
-}
-
-Result<LinkingResult> TenetPipeline::PriorOnlyFromGraph(
-    const CoherenceGraph& cg, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context) const {
-  WallTimer timer;
-  auto top = [&cg](int m) -> TopCandidate {
-    const std::vector<int>& nodes = cg.ConceptNodesOfMention(m);
-    const CoherenceGraph::ConceptNode* best = nullptr;
-    for (int node : nodes) {
-      const CoherenceGraph::ConceptNode& cn = cg.concept_node(node);
-      if (best == nullptr || cn.prior > best->prior) best = &cn;
-    }
-    if (best == nullptr) return std::nullopt;
-    return std::make_pair(best->ref, best->prior);
-  };
-  LinkingResult result = AssemblePriorOnly(cg.mentions(), top);
-  result.mentions = cg.mentions();  // copy out the universe
-  timings.disambiguate_ms = timer.ElapsedMillis();
-  FinishPriorOnly(std::move(reason), stages_degraded, timings, context,
-                  &result);
-  return result;
-}
-
-void TenetPipeline::FinishPairLink(std::string reason, int stages_degraded,
-                                   int pairs_confirmed,
-                                   PipelineTimings timings,
-                                   const LinkContext& context,
-                                   LinkingResult* result) const {
-  result->timings = timings;
-  result->degradation.mode = DegradationInfo::Mode::kPairLink;
-  result->degradation.stages_degraded = stages_degraded;
-  result->degradation.pairs_confirmed = pairs_confirmed;
-
-  const PipelineMetrics& m = Metrics();
-  // The greedy sweep is the document's (approximate) disambiguation stage:
-  // it feeds the per-stage family under its own label, so stage sums stay
-  // equal to summed PipelineTimings with the pairlink label standing in
-  // for disambiguate on these documents.
-  m.stage_pairlink->Observe(timings.disambiguate_ms);
-  m.documents_pair_link->Increment();
-  m.latency_pair_link->Observe(timings.TotalMs());
-  if (stages_degraded >= 1 && stages_degraded <= 3) {
-    m.degraded_by_rung[stages_degraded]->Increment();
-  }
-
-  if (context.trace != nullptr) {
-    int span = context.trace->StartSpan("pair_link");
-    context.trace->EndSpan(span, timings.disambiguate_ms);
-    context.trace->Annotate("degraded_mode", "pair_link");
-    context.trace->Annotate("degraded_reason", reason);
-    context.trace->Annotate("stages_degraded",
-                            std::string(1, static_cast<char>(
-                                               '0' + stages_degraded)));
-    context.trace->Annotate("pairs_confirmed",
-                            std::to_string(pairs_confirmed));
-  }
-  result->degradation.reason = std::move(reason);
-}
-
-Result<LinkingResult> TenetPipeline::PairLinkFromMentions(
-    MentionSet mentions, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context,
-    const Deadline& deadline) const {
-  WallTimer timer;
-  const MentionSet& universe = mentions;
-  // Same candidate budget as the coherence graph, so the rung sweeps the
-  // identical renormalized top-k prior distribution per mention.
-  const int top_k = options_.graph.max_candidates_per_mention;
-  int64_t candidate_overflow = 0;
-  std::vector<std::vector<PairLinkCandidate>> cands(universe.num_mentions());
-  for (int m = 0; m < universe.num_mentions(); ++m) {
-    const Mention& mention = universe.mention(m);
-    int overflow = 0;
-    if (mention.is_noun()) {
-      for (const kb::EntityCandidate& c : view_->CandidateEntities(
-               mention.surface, mention.type, top_k, &overflow)) {
-        cands[m].push_back(
-            PairLinkCandidate{kb::ConceptRef::Entity(c.entity), c.prior});
+    text::RecordInputTruncated(text::InputTruncateReason::kCandidates,
+                               candidate_overflow);
+    embedding::SimilarityCache* cache =
+        context.similarity_cache != nullptr
+            ? context.similarity_cache
+            : graph_builder_.options().similarity_cache;
+    sim = [this, cache, &context](const PairLinkCandidate& u,
+                                  const PairLinkCandidate& v) {
+      if (cache != nullptr) {
+        return cache->GetOrCompute(
+            u.ref, v.ref, [&] { return view_->Cosine(u.ref, v.ref); },
+            context.similarity_epoch);
       }
-    } else {
-      for (const kb::PredicateCandidate& c : view_->CandidatePredicates(
-               mention.surface, top_k, &overflow)) {
-        cands[m].push_back(PairLinkCandidate{
-            kb::ConceptRef::Predicate(c.predicate), c.prior});
+      return view_->Cosine(u.ref, v.ref);
+    };
+  }
+
+  // Every mention starts on its top-prior candidate (the first strict
+  // maximum); mentions without candidates are reported isolated, exactly
+  // like the full path.
+  std::vector<const PairLinkCandidate*> pick(universe.num_mentions(), nullptr);
+  for (int m = 0; m < universe.num_mentions(); ++m) {
+    for (const PairLinkCandidate& c : cands[m]) {
+      if (pick[m] == nullptr || c.prior > pick[m]->prior) pick[m] = &c;
+    }
+  }
+  std::vector<const std::vector<int>*> readings =
+      SelectPriorReadings(universe, pick);
+
+  // Pair-link sweeps the selected noun mentions (pair-linking is an entity
+  // disambiguation algorithm); whatever it confirms replaces the prior pick.
+  // Prior-only skips the sweep.
+  PairLinkSweep sweep;
+  if (mode == DegradationInfo::Mode::kPairLink) {
+    std::vector<int> nouns;
+    for (const std::vector<int>* reading : readings) {
+      for (int m : *reading) {
+        if (universe.mention(m).is_noun()) nouns.push_back(m);
       }
     }
-    candidate_overflow += overflow;
-  }
-  embedding::SimilarityCache* cache =
-      context.similarity_cache != nullptr
-          ? context.similarity_cache
-          : graph_builder_.options().similarity_cache;
-  auto sim = [this, cache, &context](const PairLinkCandidate& u,
-                                     const PairLinkCandidate& v) {
-    if (cache != nullptr) {
-      return cache->GetOrCompute(
-          u.ref, v.ref, [&] { return view_->Cosine(u.ref, v.ref); },
-          context.similarity_epoch);
+    std::sort(nouns.begin(), nouns.end());
+    sweep = RunPairLinkSweep(nouns, cands,
+                             options_.pair_link.similarity_weight,
+                             options_.pair_link.prior_weight, deadline, sim);
+    for (size_t idx = 0; idx < nouns.size(); ++idx) {
+      if (sweep.confirmed[idx] >= 0) {
+        pick[nouns[idx]] = &cands[nouns[idx]][sweep.confirmed[idx]];
+      }
     }
-    return view_->Cosine(u.ref, v.ref);
-  };
-  PairLinkSweepStats stats;
-  LinkingResult result = AssemblePairLink(universe, cands, options_.pair_link,
-                                          deadline, sim, &stats);
-  text::RecordInputTruncated(text::InputTruncateReason::kCandidates,
-                             candidate_overflow);
+    if (sweep.deadline_hit) {
+      reason += "; deadline expired mid-sweep, remainder served from priors";
+    }
+  }
+
+  LinkingResult result;
+  for (const std::vector<int>* reading : readings) {
+    for (int m : *reading) {
+      result.selected_mentions.push_back(m);
+      if (pick[m] == nullptr) {
+        result.isolated_mentions.push_back(m);
+        continue;
+      }
+      LinkedConcept link;
+      link.mention_id = m;
+      link.surface = universe.mention(m).surface;
+      link.kind = universe.mention(m).kind;
+      link.concept_ref = pick[m]->ref;
+      link.prior = pick[m]->prior;
+      result.links.push_back(std::move(link));
+    }
+  }
+  std::sort(result.links.begin(), result.links.end(),
+            [](const LinkedConcept& a, const LinkedConcept& b) {
+              return a.mention_id < b.mention_id;
+            });
+  std::sort(result.selected_mentions.begin(), result.selected_mentions.end());
+  std::sort(result.isolated_mentions.begin(), result.isolated_mentions.end());
   result.mentions = std::move(mentions);
   timings.disambiguate_ms = timer.ElapsedMillis();
-  if (stats.deadline_hit) {
-    reason += "; deadline expired mid-sweep, remainder served from priors";
-  }
-  FinishPairLink(std::move(reason), stages_degraded, stats.pairs_confirmed,
-                 timings, context, &result);
-  return result;
-}
-
-Result<LinkingResult> TenetPipeline::PairLinkFromGraph(
-    const CoherenceGraph& cg, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context,
-    const Deadline& deadline) const {
-  WallTimer timer;
-  const MentionSet& universe = cg.mentions();
-  std::vector<std::vector<PairLinkCandidate>> cands(universe.num_mentions());
-  for (int m = 0; m < universe.num_mentions(); ++m) {
-    for (int node : cg.ConceptNodesOfMention(m)) {
-      const CoherenceGraph::ConceptNode& cn = cg.concept_node(node);
-      cands[m].push_back(PairLinkCandidate{cn.ref, cn.prior, node});
-    }
-  }
-  // Graph edge weights are 1 - cos.  The coherence graph is never pruned:
-  // a missing edge is a same-mention pair or a pair that shares no
-  // sentence, and reads as zero similarity, which the optimistic bound
-  // then corrects.
-  auto sim = [&cg](const PairLinkCandidate& u, const PairLinkCandidate& v) {
-    return 1.0 - cg.graph().EdgeWeight(u.node, v.node, /*missing=*/1.0);
-  };
-  PairLinkSweepStats stats;
-  LinkingResult result = AssemblePairLink(universe, cands, options_.pair_link,
-                                          deadline, sim, &stats);
-  result.mentions = cg.mentions();  // copy out the universe
-  timings.disambiguate_ms = timer.ElapsedMillis();
-  if (stats.deadline_hit) {
-    reason += "; deadline expired mid-sweep, remainder served from priors";
-  }
-  FinishPairLink(std::move(reason), stages_degraded, stats.pairs_confirmed,
-                 timings, context, &result);
+  FinishDegraded(mode, std::move(reason), stages_degraded,
+                 sweep.pairs_confirmed, timings, context, &result);
   return result;
 }
 

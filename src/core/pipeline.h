@@ -230,59 +230,22 @@ class TenetPipeline {
                                                   const LinkContext& context,
                                                   PipelineTimings timings) const;
 
-  /// Serves the document from priors alone, bypassing the coherence graph
-  /// entirely (candidates come straight from the KB alias index).
-  Result<LinkingResult> PriorOnlyFromMentions(MentionSet mentions,
-                                              std::string reason,
-                                              int stages_degraded,
-                                              PipelineTimings timings,
-                                              const LinkContext& context) const;
-
-  /// Serves the document from priors using the candidates already
-  /// materialized in `cg` (the graph stage completed before the budget ran
-  /// out).
-  Result<LinkingResult> PriorOnlyFromGraph(const CoherenceGraph& cg,
-                                           std::string reason,
-                                           int stages_degraded,
-                                           PipelineTimings timings,
-                                           const LinkContext& context) const;
-
-  /// Shared tail of both prior-only paths: mode bookkeeping, the
-  /// degradation counters and latency observations, and the trace record
-  /// of the rung taken.
-  void FinishPriorOnly(std::string reason, int stages_degraded,
-                       PipelineTimings timings, const LinkContext& context,
-                       LinkingResult* result) const;
-
-  /// Serves the document from the pair-link rung, fetching candidates
-  /// straight from the KB alias index (no coherence graph is built);
-  /// similarities are computed lazily, through the request's similarity
-  /// cache when one is attached.  `deadline` bounds the greedy sweep:
-  /// expiry mid-sweep tops the remaining mentions up from priors.
-  Result<LinkingResult> PairLinkFromMentions(MentionSet mentions,
-                                             std::string reason,
-                                             int stages_degraded,
-                                             PipelineTimings timings,
-                                             const LinkContext& context,
-                                             const Deadline& deadline) const;
-
-  /// Pair-link over the candidates and similarities already materialized
-  /// in `cg` (the graph stage completed; the cover stage did not).  Reads
-  /// only the graph's edges — no KB or embedding dependency is touched,
-  /// which is what makes this rung safe under a faulted cover solver.
-  Result<LinkingResult> PairLinkFromGraph(const CoherenceGraph& cg,
-                                          std::string reason,
-                                          int stages_degraded,
-                                          PipelineTimings timings,
-                                          const LinkContext& context,
-                                          const Deadline& deadline) const;
-
-  /// Shared tail of both pair-link paths (the kPairLink analogue of
-  /// FinishPriorOnly).
-  void FinishPairLink(std::string reason, int stages_degraded,
-                      int pairs_confirmed, PipelineTimings timings,
-                      const LinkContext& context,
-                      LinkingResult* result) const;
+  /// Serves the document from a degraded rung of the ladder (DESIGN.md
+  /// §16): `mode` is kPriorOnly or kPairLink.  Candidates come from the
+  /// concept nodes of `cg` when it is non-null (the graph stage completed),
+  /// else straight from the KB view at the graph's top-k; `mentions` is the
+  /// universe either way.  Each group keeps its winning reading by mean
+  /// prior; pair-link then runs the greedy sweep under `deadline` (through
+  /// the request's similarity cache when no graph is given), prior-only
+  /// skips it, and every mention the sweep did not confirm links to its
+  /// top-prior candidate.
+  Result<LinkingResult> ServeDegraded(DegradationInfo::Mode mode,
+                                      const CoherenceGraph* cg,
+                                      MentionSet mentions, std::string reason,
+                                      int stages_degraded,
+                                      PipelineTimings timings,
+                                      const LinkContext& context,
+                                      const Deadline& deadline) const;
 
   std::shared_ptr<const kb::KbView> view_;
   const text::Gazetteer* gazetteer_;

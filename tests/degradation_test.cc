@@ -8,6 +8,7 @@
 #include "core/link_context.h"
 #include "core/pipeline.h"
 #include "figure_one_world.h"
+#include "obs/metrics.h"
 
 namespace tenet {
 namespace core {
@@ -196,6 +197,43 @@ TEST(DegradationTest, ModeNamesAreStable) {
             "prior_only");
   EXPECT_EQ(DegradationModeToString(DegradationInfo::Mode::kPairLink),
             "pair_link");
+}
+
+int64_t CandidateTruncations() {
+  return obs::MetricsRegistry::Default()
+      ->GetCounter("tenet_input_truncated_total", "",
+                   obs::LabelPair("reason", "candidates"))
+      ->Value();
+}
+
+TEST(DegradationTest, PriorOnlyAtEntryLooksEachMentionUpOnce) {
+  // The expired-deadline rung fetches one candidate list per mention, like
+  // the graph stage: the candidate-cap truncations it counts match the
+  // full path's, and the alias index is probed once per mention, so a
+  // lookup fault cannot hit the same mention twice with different answers.
+  constexpr const char* kText = "Michael Jordan visited Brooklyn.";
+  FigureOneWorld world = BuildFigureOneWorld();
+  TenetOptions options;
+  options.limits.max_candidates_per_mention = 1;
+  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+                      options);
+
+  int64_t before = CandidateTruncations();
+  Result<LinkingResult> full = tenet.LinkDocument(kText);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(full->degradation.mode, DegradationInfo::Mode::kFull);
+  const int64_t full_truncations = CandidateTruncations() - before;
+  EXPECT_GT(full_truncations, 0);
+
+  FaultInjector faults(19);  // nothing armed: only counts the probes
+  before = CandidateTruncations();
+  Result<LinkingResult> degraded = tenet.LinkDocument(
+      kText, LinkContext::WithDeadline(Deadline::Expired()));
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  ASSERT_EQ(degraded->degradation.mode, DegradationInfo::Mode::kPriorOnly);
+  EXPECT_EQ(CandidateTruncations() - before, full_truncations);
+  EXPECT_EQ(faults.HitCount("kb/alias_lookup"),
+            degraded->mentions.num_mentions());
 }
 
 TEST(DegradationTest, EmptyDocumentIsFullModeEvenWhenExpired) {
