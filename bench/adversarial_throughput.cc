@@ -11,7 +11,9 @@
 // BENCH_adversarial.json records CI archives; `--smoke` shrinks the
 // round count for tier-1.
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -21,6 +23,7 @@
 #include "json_out.h"
 #include "obs/metrics.h"
 #include "serving/batch_service.h"
+#include "serving/kb_generation.h"
 #include "serving/session.h"
 
 namespace tenet {
@@ -106,7 +109,13 @@ void PrintRow(const char* workload, const WorkloadResult& r) {
 
 void Run(const JsonArgs& json_args) {
   const Environment& env = GetEnvironment();
-  baselines::TenetLinker tenet(MakeSubstrate(env));
+  // The service serves a generation over its own copy of the synthetic
+  // world (BuildWorld is deterministic, so it matches the environment's).
+  datasets::SyntheticWorld world = datasets::BuildWorld();
+  std::shared_ptr<const serving::KbGeneration> generation =
+      serving::KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
+                                           std::move(world.embeddings),
+                                           /*id=*/1);
 
   const datasets::Dataset& clean = env.dataset("T-REx42");
   std::vector<std::string> clean_texts;
@@ -134,7 +143,7 @@ void Run(const JsonArgs& json_args) {
   options.metrics = &registry;
   options.num_threads = 4;
   options.queue_capacity = 256;  // throughput run: no shedding wanted
-  serving::BatchLinkingService service(&tenet, options);
+  serving::BatchLinkingService service(generation, options);
 
   const int rounds = json_args.smoke ? 1 : 8;
   const int session_rounds = json_args.smoke ? 1 : 4;
@@ -145,7 +154,7 @@ void Run(const JsonArgs& json_args) {
   WorkloadResult clean_result = RunBatches(&service, clean_texts, rounds);
   WorkloadResult hostile_result = RunBatches(&service, hostile_texts, rounds);
   WorkloadResult session_result =
-      RunSessions(&service, env.world.kb(), sessions, session_rounds);
+      RunSessions(&service, generation->kb(), sessions, session_rounds);
 
   std::printf("Adversarial serving throughput: TENET via BatchLinkingService "
               "(4 workers)\n");

@@ -1,7 +1,9 @@
-// Serving-layer scaling: end-to-end evaluation throughput of TENET as the
-// BatchLinkingService worker count grows, on the four evaluation corpora.
-// The PRF columns double as a determinism check — they must not move with
-// the thread count (the harness merges results in dataset order).
+// Evaluation fan-out scaling: end-to-end throughput of TENET as the
+// harness's worker count (EvalOptions::num_threads) grows, on the four
+// evaluation corpora.  The workers call the linker directly — no serving
+// layer — so this measures how the pipeline scales across documents.  The
+// PRF columns double as a determinism check: they must not move with the
+// thread count (the harness merges results in dataset order).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -26,7 +28,8 @@ void Run() {
       "degradation mode.",
       obs::LabelPair("mode", "full"));
 
-  std::printf("Serving throughput: TENET end-to-end, by worker threads\n");
+  std::printf(
+      "Evaluation throughput: TENET end-to-end, by harness worker threads\n");
   PrintRule();
   std::printf("%-10s %8s %12s %12s %10s %22s  %s\n", "dataset", "threads",
               "total_ms", "wall_ms", "docs/s", "p50/p95/p99 ms",

@@ -52,14 +52,19 @@ std::span<const double> EmbeddingStore::UnitVector(kb::ConceptRef ref) const {
   return std::span<const double>(unit_data_.data() + Offset(ref), dimension_);
 }
 
-void EmbeddingStore::Finalize() {
-  TENET_CHECK(!finalized_) << "Finalize called twice";
+bool EmbeddingStore::BuildUnitRows() {
   size_t count = static_cast<size_t>(num_entities_) + num_predicates_;
   unit_data_.assign(data_.size(), 0.0);
   for (size_t i = 0; i < count; ++i) {
     const float* v = data_.data() + i * dimension_;
     double sum = 0.0;
     for (int d = 0; d < dimension_; ++d) sum += double{v[d]} * v[d];
+    // Squares of finite floats cannot overflow a double sum, so a
+    // non-finite sum means a non-finite component.
+    if (!std::isfinite(sum)) {
+      unit_data_.clear();
+      return false;
+    }
     double norm = std::sqrt(sum);
     if (norm <= 0.0) continue;  // zero rows stay zero: cosine 0 by design
     double* unit = unit_data_.data() + i * dimension_;
@@ -67,6 +72,14 @@ void EmbeddingStore::Finalize() {
       unit[d] = double{v[d]} / norm;
     }
   }
+  return true;
+}
+
+void EmbeddingStore::Finalize() {
+  TENET_CHECK(!finalized_) << "Finalize called twice";
+  // Every writer validates its rows first: ApplyDeltas rejects non-finite
+  // overrides and the trainer only produces finite values.
+  TENET_CHECK(BuildUnitRows()) << "non-finite embedding row";
   finalized_ = true;
 }
 
@@ -78,24 +91,8 @@ Status EmbeddingStore::LoadMatrix(const void* matrix, size_t count_floats) {
   // memcpy tolerates any source alignment — mmapped payloads start at a
   // file offset the format does not promise to be float-aligned.
   std::memcpy(data_.data(), matrix, count_floats * sizeof(float));
-  size_t count = static_cast<size_t>(num_entities_) + num_predicates_;
-  unit_data_.assign(data_.size(), 0.0);
-  for (size_t i = 0; i < count; ++i) {
-    const float* v = data_.data() + i * dimension_;
-    double sum = 0.0;
-    for (int d = 0; d < dimension_; ++d) {
-      if (!std::isfinite(v[d])) {
-        unit_data_.clear();
-        return Status::DataLoss("non-finite embedding payload");
-      }
-      sum += double{v[d]} * v[d];
-    }
-    double norm = std::sqrt(sum);
-    if (norm <= 0.0) continue;  // zero rows stay zero: cosine 0 by design
-    double* unit = unit_data_.data() + i * dimension_;
-    for (int d = 0; d < dimension_; ++d) {
-      unit[d] = double{v[d]} / norm;
-    }
+  if (!BuildUnitRows()) {
+    return Status::DataLoss("non-finite embedding payload");
   }
   finalized_ = true;
   return Status::Ok();

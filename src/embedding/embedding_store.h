@@ -29,6 +29,12 @@ namespace embedding {
 // similarities are bit-identical (and within ~1e-14 of the historical
 // dot/norms arithmetic; see dot_kernel.h).  The copy triples the store's
 // memory; DESIGN.md §10 discusses the tradeoff.
+//
+// The raw float rows stay after Finalize because three readers need them
+// and cannot get them back from the unit rows (the norms are gone):
+// SaveEmbeddings (kb/io.cc) persists them, ShardedKb::Partition copies
+// them into per-shard stores, and ApplyDeltas carries them into the next
+// generation's store.
 class EmbeddingStore {
  public:
   EmbeddingStore(int dimension, int32_t num_entities,
@@ -92,6 +98,9 @@ class EmbeddingStore {
   }
 
  private:
+  /// Fills unit_data_ from data_ in one sweep.  False — with unit_data_
+  /// left empty — when a row holds a non-finite value.
+  bool BuildUnitRows();
   size_t Offset(kb::ConceptRef ref) const;
   size_t RowIndex(kb::ConceptRef ref) const;
 

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "serving/batch_service.h"
 
@@ -69,7 +71,7 @@ bool CountOutcome(const datasets::Document& doc,
 }
 
 // Merges one document's outcome into the running scores.  Shared by the
-// serial and parallel paths so the two merge byte-identically; callers
+// static and live evaluations so the two merge byte-identically; callers
 // iterate documents in dataset order.
 void ScoreDocument(const baselines::Linker& linker, bool has_relation_gold,
                    const datasets::Document& doc,
@@ -85,78 +87,59 @@ void ScoreDocument(const baselines::Linker& linker, bool has_relation_gold,
   scores->isolated_detection.Add(ScoreIsolatedDetection(doc, prediction));
 }
 
-SystemScores EvaluateEndToEndSerial(const baselines::Linker& linker,
-                                    const datasets::Dataset& dataset) {
-  SystemScores scores;
-  scores.system = std::string(linker.name());
-  scores.dataset = dataset.name;
-  WallTimer wall;
-  std::vector<double> latencies;
-  latencies.reserve(dataset.documents.size());
-  for (const datasets::Document& doc : dataset.documents) {
-    WallTimer doc_timer;
-    Result<core::LinkingResult> result = linker.LinkDocument(doc.text);
-    double doc_ms = doc_timer.ElapsedMillis();
-    scores.total_ms += doc_ms;
-    if (doc_ms > scores.max_doc_ms) scores.max_doc_ms = doc_ms;
-    latencies.push_back(doc_ms);
-    ScoreDocument(linker, dataset.has_relation_gold, doc, result, &scores);
-  }
-  scores.wall_ms = wall.ElapsedMillis();
-  FinishLatencies(latencies, &scores);
-  scores.metrics = obs::MetricsRegistry::Default()->Snapshot();
-  return scores;
-}
-
-SystemScores EvaluateEndToEndParallel(const baselines::Linker& linker,
-                                      const datasets::Dataset& dataset,
-                                      int num_threads) {
-  SystemScores scores;
-  scores.system = std::string(linker.name());
-  scores.dataset = dataset.name;
-  WallTimer wall;
-
-  // Offline evaluation wants every document answered exactly as the serial
-  // loop would: backpressure instead of shedding, no service-imposed
-  // deadline, and an admission budget no batch can exhaust.
-  serving::ServingOptions sopts;
-  sopts.num_threads = num_threads;
-  sopts.queue_capacity =
-      dataset.documents.size() + 1;  // whole batch fits; +1 for empty sets
-  sopts.overflow = QueueOverflowPolicy::kBlock;
-  sopts.admission.max_pending = std::numeric_limits<int>::max();
-  serving::BatchLinkingService service(&linker, sopts);
-
-  std::vector<std::string> texts;
-  texts.reserve(dataset.documents.size());
-  for (const datasets::Document& doc : dataset.documents) {
-    texts.push_back(doc.text);
-  }
-  std::vector<serving::ServedResult> served = service.LinkBatch(texts);
-
-  // Deterministic merge: dataset order, independent of completion order.
-  std::vector<double> latencies;
-  latencies.reserve(dataset.documents.size());
+// Folds per-document outcomes into the scores in dataset order, whatever
+// order the documents finished in: results[i] and latencies_ms[i] belong to
+// dataset.documents[i].
+void ScoreInDatasetOrder(
+    const baselines::Linker& linker, const datasets::Dataset& dataset,
+    const std::vector<Result<core::LinkingResult>>& results,
+    const std::vector<double>& latencies_ms, SystemScores* scores) {
   for (size_t i = 0; i < dataset.documents.size(); ++i) {
-    scores.total_ms += served[i].latency_ms;
-    if (served[i].latency_ms > scores.max_doc_ms) {
-      scores.max_doc_ms = served[i].latency_ms;
-    }
-    latencies.push_back(served[i].latency_ms);
+    scores->total_ms += latencies_ms[i];
+    scores->max_doc_ms = std::max(scores->max_doc_ms, latencies_ms[i]);
     ScoreDocument(linker, dataset.has_relation_gold, dataset.documents[i],
-                  served[i].result, &scores);
+                  results[i], scores);
   }
-  scores.wall_ms = wall.ElapsedMillis();
-  FinishLatencies(latencies, &scores);
-  scores.metrics = service.metrics()->Snapshot();
-  return scores;
 }
 
 }  // namespace
 
 SystemScores EvaluateEndToEnd(const baselines::Linker& linker,
-                              const datasets::Dataset& dataset) {
-  return EvaluateEndToEnd(linker, dataset, EvalOptions{});
+                              const datasets::Dataset& dataset,
+                              const EvalOptions& options) {
+  SystemScores scores;
+  scores.system = std::string(linker.name());
+  scores.dataset = dataset.name;
+  WallTimer wall;
+
+  // One body per document, whichever worker runs it: link, time, store at
+  // the document's own index.  No admission, breakers or retries stand
+  // between the harness and the linker, so N workers score exactly what
+  // one does.
+  const size_t n = dataset.documents.size();
+  std::vector<Result<core::LinkingResult>> results(
+      n, Status::Internal("not linked"));
+  std::vector<double> latencies(n, 0.0);
+  {
+    ThreadPool::Options pool_options;
+    pool_options.num_threads = std::max(1, options.num_threads);
+    ThreadPool pool(pool_options);
+    for (size_t i = 0; i < n; ++i) {
+      Status queued =
+          pool.Submit([&linker, &dataset, &results, &latencies, i] {
+            WallTimer doc_timer;
+            results[i] = linker.LinkDocument(dataset.documents[i].text);
+            latencies[i] = doc_timer.ElapsedMillis();
+          });
+      TENET_CHECK(queued.ok()) << queued;
+    }
+    // The pool's destructor drains the queue and joins the workers.
+  }
+  ScoreInDatasetOrder(linker, dataset, results, latencies, &scores);
+  scores.wall_ms = wall.ElapsedMillis();
+  FinishLatencies(latencies, &scores);
+  scores.metrics = obs::MetricsRegistry::Default()->Snapshot();
+  return scores;
 }
 
 SystemScores EvaluateEndToEndLive(const baselines::Linker& linker,
@@ -172,7 +155,9 @@ SystemScores EvaluateEndToEndLive(const baselines::Linker& linker,
   // land between submissions: every document before an update pins the old
   // generation, every one after pins the new.
   const size_t n = dataset.documents.size();
-  std::vector<serving::ServedResult> served(n);
+  std::vector<Result<core::LinkingResult>> results(
+      n, Status::Internal("not linked"));
+  std::vector<double> latencies(n, 0.0);
   std::latch drained(static_cast<ptrdiff_t>(n));
   int updates = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -181,45 +166,25 @@ SystemScores EvaluateEndToEndLive(const baselines::Linker& linker,
       plan.apply(service, updates++);
     }
     Status submitted = service.Submit(
-        dataset.documents[i].text, [&served, &drained, i](
-                                       serving::ServedResult result) {
-          served[i] = std::move(result);
+        dataset.documents[i].text,
+        [&results, &latencies, &drained, i](serving::ServedResult served) {
+          results[i] = std::move(served.result);
+          latencies[i] = served.latency_ms;
           drained.count_down();
         });
     if (!submitted.ok()) {
       // Shed at the door: the callback never runs, account for it here.
-      served[i].result = submitted;
-      served[i].shed = true;
+      results[i] = submitted;
       drained.count_down();
     }
   }
   drained.wait();
 
-  // Deterministic merge: dataset order, independent of completion order.
-  std::vector<double> latencies;
-  latencies.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    scores.total_ms += served[i].latency_ms;
-    if (served[i].latency_ms > scores.max_doc_ms) {
-      scores.max_doc_ms = served[i].latency_ms;
-    }
-    latencies.push_back(served[i].latency_ms);
-    ScoreDocument(linker, dataset.has_relation_gold, dataset.documents[i],
-                  served[i].result, &scores);
-  }
+  ScoreInDatasetOrder(linker, dataset, results, latencies, &scores);
   scores.wall_ms = wall.ElapsedMillis();
   FinishLatencies(latencies, &scores);
   scores.metrics = service.metrics()->Snapshot();
   return scores;
-}
-
-SystemScores EvaluateEndToEnd(const baselines::Linker& linker,
-                              const datasets::Dataset& dataset,
-                              const EvalOptions& options) {
-  if (options.num_threads <= 1) {
-    return EvaluateEndToEndSerial(linker, dataset);
-  }
-  return EvaluateEndToEndParallel(linker, dataset, options.num_threads);
 }
 
 SystemScores EvaluateSessions(const baselines::Linker& linker,

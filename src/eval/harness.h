@@ -89,20 +89,18 @@ struct SystemScores {
 };
 
 struct EvalOptions {
-  /// 1 runs documents serially in the calling thread; > 1 routes them
-  /// through a serving::BatchLinkingService with that many workers.
-  /// Results are merged in dataset order either way, so the scores of a
-  /// fault-free run are identical across thread counts.
+  /// Worker threads calling the linker, one document at a time each.
+  /// Every document is linked once, straight through the linker (no
+  /// serving layer, no retries), and results are merged in dataset order,
+  /// so the scores are identical at every thread count.
   int num_threads = 1;
 };
 
 /// Runs `linker` end-to-end over every document of `dataset` and scores
 /// all four measures.
 SystemScores EvaluateEndToEnd(const baselines::Linker& linker,
-                              const datasets::Dataset& dataset);
-SystemScores EvaluateEndToEnd(const baselines::Linker& linker,
                               const datasets::Dataset& dataset,
-                              const EvalOptions& options);
+                              const EvalOptions& options = {});
 
 // The live-update drill (`tenet_cli eval --kb-update-every N`): what to do
 // to the serving KB, and how often, while an evaluation batch is in

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <latch>
 #include <span>
 #include <unordered_set>
 
 #include "common/dependency_health.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "embedding/dot_kernel.h"
 #include "obs/metrics.h"
@@ -244,7 +242,7 @@ std::vector<AliasPosting> ShardedKb::ScatterLookup(
   // Borrowed spans into each shard's frozen dictionary arena — immutable
   // during serving, so no copy is needed until the merge below.
   std::vector<std::span<const AliasPosting>> per_shard(n);
-  auto lookup_one = [&](int s) {
+  for (int s = 0; s < n; ++s) {
     WallTimer timer;
     // A fired shard degrades the lookup instead of failing it: its
     // candidates are simply absent, the same shape as an alias-index miss,
@@ -260,26 +258,6 @@ std::vector<AliasPosting> ShardedKb::ScatterLookup(
       per_shard[s] = shards_[s].alias_index.LookupPredicates(surface);
     }
     shard_lookup_ms_[s]->Observe(timer.ElapsedMillis());
-  };
-  if (lookup_pool_ != nullptr && lookup_pool_->num_threads() > 1 && n > 1) {
-    // Fan out shards 1..n-1; the calling thread takes shard 0 and then
-    // parks.  Safe only because lookup_pool_ is NOT the serving pool (see
-    // set_lookup_pool) — a failed Submit falls back inline.
-    std::latch done(n - 1);
-    for (int s = 1; s < n; ++s) {
-      Status submitted = lookup_pool_->Submit([&lookup_one, &done, s] {
-        lookup_one(s);
-        done.count_down();
-      });
-      if (!submitted.ok()) {
-        lookup_one(s);
-        done.count_down();
-      }
-    }
-    lookup_one(0);
-    done.wait();
-  } else {
-    for (int s = 0; s < n; ++s) lookup_one(s);
   }
   // Gather: concatenate and re-establish the canonical order.  The
   // comparator is a total order and each sublist already respects it, so

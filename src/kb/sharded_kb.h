@@ -14,8 +14,6 @@
 
 namespace tenet {
 
-class ThreadPool;
-
 namespace obs {
 class Counter;
 class Histogram;
@@ -114,14 +112,6 @@ class ShardedKb final : public KbView {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const Shard& shard(int i) const { return shards_[i]; }
 
-  /// Optional scatter pool for per-shard lookups.  Serial (inline) when
-  /// null — the default.  MUST NOT be the serving layer's worker pool: a
-  /// lookup running *on* a pool worker that fans out to the same pool and
-  /// blocks on the results can deadlock once every worker is blocked
-  /// waiting on helper tasks queued behind other blocked lookups.  Give the
-  /// sharded KB its own small pool (or none).
-  void set_lookup_pool(ThreadPool* pool) { lookup_pool_ = pool; }
-
   // ---- KbView ------------------------------------------------------------
 
   int32_t num_entities() const override { return num_entities_; }
@@ -162,7 +152,6 @@ class ShardedKb final : public KbView {
   int32_t num_predicates_ = 0;
   int64_t num_facts_ = 0;
   int dimension_ = 0;
-  ThreadPool* lookup_pool_ = nullptr;
 
   // Cached metric handles (find-or-create once, lock-free afterwards).
   std::vector<obs::Histogram*> shard_lookup_ms_;

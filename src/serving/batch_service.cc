@@ -74,21 +74,6 @@ constexpr const char* kSwapHelp =
 constexpr const char* kMergeHelp =
     "Background delta merges (compact + reload + swap), by outcome.";
 
-std::shared_ptr<const ServingTarget> LegacyTarget(
-    const baselines::Linker* linker) {
-  TENET_CHECK(linker != nullptr);
-  return std::make_shared<const ServingTarget>(
-      ServingTarget{linker, nullptr});
-}
-
-std::shared_ptr<const ServingTarget> GenerationTarget(
-    std::shared_ptr<const KbGeneration> generation) {
-  TENET_CHECK(generation != nullptr);
-  const baselines::Linker* linker = &generation->linker();
-  return std::make_shared<const ServingTarget>(
-      ServingTarget{linker, std::move(generation)});
-}
-
 }  // namespace
 
 BatchLinkingService::Instruments BatchLinkingService::MakeInstruments(
@@ -134,8 +119,7 @@ BatchLinkingService::Instruments BatchLinkingService::MakeInstruments(
       "milliseconds, degraded answers included.");
   m.generation = registry->GetGauge(
       "tenet_kb_generation",
-      "Id of the KB generation currently serving new requests (0 = legacy "
-      "fixed substrate).");
+      "Id of the KB generation currently serving new requests.");
   m.swaps_ok = registry->GetCounter(
       "tenet_kb_swaps_total", kSwapHelp, obs::LabelPair("outcome", "ok"));
   m.swaps_rolled_back =
@@ -159,17 +143,8 @@ void BatchLinkingService::BreakerObserver::ObserveDependency(
   if (breaker != nullptr) breaker->RecordOutcome(ok);
 }
 
-BatchLinkingService::BatchLinkingService(const baselines::Linker* linker,
-                                         ServingOptions options)
-    : BatchLinkingService(LegacyTarget(linker), std::move(options)) {}
-
 BatchLinkingService::BatchLinkingService(
     std::shared_ptr<const KbGeneration> generation, ServingOptions options)
-    : BatchLinkingService(GenerationTarget(std::move(generation)),
-                          std::move(options)) {}
-
-BatchLinkingService::BatchLinkingService(
-    std::shared_ptr<const ServingTarget> target, ServingOptions options)
     : options_(options),
       registry_(ResolveRegistry(options)),
       m_(MakeInstruments(registry_)),
@@ -179,11 +154,11 @@ BatchLinkingService::BatchLinkingService(
       retry_budget_(ResolveRetryBudget(options)),
       admission_(ResolveAdmission(options)),
       similarity_cache_(MakeSimilarityCache(options)),
-      target_(target),
+      generation_(std::move(generation)),
       observer_(this),
       observer_scope_(&observer_),
       pool_(PoolOptions(options)) {
-  m_.generation->Set(static_cast<double>(target->generation_id()));
+  m_.generation->Set(static_cast<double>(generation_id()));
 }
 
 BatchLinkingService::~BatchLinkingService() { pool_.Shutdown(); }
@@ -227,11 +202,11 @@ Status BatchLinkingService::Submit(std::string text, core::LinkContext context,
   embedding::SimilarityCache* cache = context.similarity_cache != nullptr
                                           ? context.similarity_cache
                                           : similarity_cache_.get();
-  // Pin the serving target at the door: whatever generation swaps land
-  // while this request waits in the queue, it links against the substrate
-  // that admitted it, and that substrate cannot be freed under it.
-  Request request{std::move(text), deadline,          context.trace,
-                  cache,           target_.Acquire(), std::move(done)};
+  // Pin the serving generation at the door: whatever swaps land while this
+  // request waits in the queue, it links against the generation that
+  // admitted it, and that generation cannot be freed under it.
+  Request request{std::move(text), deadline, context.trace, cache,
+                  generation_.Acquire(), std::move(done)};
   Status queued = pool_.Submit(
       [this, request = std::move(request)]() mutable {
         Process(std::move(request));
@@ -247,23 +222,19 @@ Status BatchLinkingService::Submit(std::string text, core::LinkContext context,
   return Status::Ok();
 }
 
-Result<core::LinkingResult> BatchLinkingService::LinkOnce(
-    const Request& request) const {
-  core::LinkContext context;
-  // An infinite request deadline leaves the linker's own per-document
-  // policy in charge (and keeps the call bit-identical to a plain
-  // LinkDocument, which the offline evaluation relies on).
-  if (!request.deadline.infinite()) context.deadline = request.deadline;
-  context.trace = request.trace;
-  context.similarity_cache = request.similarity_cache;
-  context.similarity_epoch = request.target->generation_id();
-  return request.target->linker->LinkDocument(request.text, context);
-}
-
 void BatchLinkingService::Process(Request request) {
   m_.queue_depth->Add(-1.0);
   m_.inflight->Add(1.0);
   WallTimer timer;
+  core::LinkContext context;
+  // An infinite request deadline leaves the linker's own per-document
+  // policy in charge.
+  if (!request.deadline.infinite()) context.deadline = request.deadline;
+  context.trace = request.trace;
+  context.similarity_cache = request.similarity_cache;
+  context.similarity_epoch = request.generation->id();
+  const baselines::Linker& linker = request.generation->linker();
+
   // Routing: a request that meets any open breaker bypasses the full
   // pipeline instead of hammering the sick dependency with a doomed
   // attempt.  How far down the ladder it lands depends on which
@@ -281,14 +252,10 @@ void BatchLinkingService::Process(Request request) {
 
   Result<core::LinkingResult> result = Status::Internal("not linked");
   if (breaker_bypass) {
-    core::LinkContext degraded_context;
     if (pair_link_route) {
       // The pair-link rung still consumes KB candidate lookups and
       // embedding similarities, so those probes stay legitimately spent.
-      if (!request.deadline.infinite()) {
-        degraded_context.deadline = request.deadline;
-      }
-      degraded_context.cap_to_pair_link = true;
+      context.cap_to_pair_link = true;
     } else {
       // The prior-only route will not touch the dependencies, so any
       // half-open probes the other breakers just granted must be handed
@@ -297,17 +264,13 @@ void BatchLinkingService::Process(Request request) {
       if (kb_allowed) kb_alias_breaker_.ReturnProbe();
       if (embedding_allowed) embedding_breaker_.ReturnProbe();
       if (cover_allowed) cover_breaker_.ReturnProbe();
-      degraded_context.deadline = Deadline::Expired();
+      context.deadline = Deadline::Expired();
     }
-    degraded_context.trace = request.trace;
-    degraded_context.similarity_cache = request.similarity_cache;
-    degraded_context.similarity_epoch = request.target->generation_id();
-    result = request.target->linker->LinkDocument(request.text,
-                                                  degraded_context);
+    result = linker.LinkDocument(request.text, context);
   } else {
     RetrySchedule schedule(options_.retry, /*initial_value=*/0.0);
     for (;;) {
-      result = LinkOnce(request);
+      result = linker.LinkDocument(request.text, context);
       if (result.ok() || !IsRetryable(result.status())) break;
       if (request.deadline.expired()) break;
       if (schedule.exhausted()) break;
@@ -341,8 +304,8 @@ void BatchLinkingService::Process(Request request) {
   m_.inflight->Add(-1.0);
   // Unpin before the callback: the callback may be the last thing keeping
   // a swap waiting (e.g. a test draining requests to free RCU slots), and
-  // this request is done with the substrate.
-  request.target.Release();
+  // this request is done with the generation.
+  request.generation.Release();
   request.done(std::move(served));
 }
 
@@ -353,7 +316,7 @@ Status BatchLinkingService::SwapGeneration(
   }
   WallTimer timer;
   std::lock_guard<std::mutex> lock(swap_mu_);
-  const uint64_t current_id = target_.Current()->generation_id();
+  const uint64_t current_id = generation_.Current()->id();
   if (next->id() <= current_id) {
     m_.swaps_rolled_back->Increment();
     TENET_OBSERVE_DEPENDENCY("serving/kb_swap", false);
@@ -370,8 +333,7 @@ Status BatchLinkingService::SwapGeneration(
         "injected fault: kb swap failed; still serving generation " +
         std::to_string(current_id));
   }
-  Result<uint64_t> published = target_.Publish(
-      GenerationTarget(std::move(next)));
+  Result<uint64_t> published = generation_.Publish(std::move(next));
   if (!published.ok()) {
     m_.swaps_rolled_back->Increment();
     TENET_OBSERVE_DEPENDENCY("serving/kb_swap", false);
@@ -394,23 +356,15 @@ void BatchLinkingService::RunMerge(std::string kb_path,
   };
   // Compact the generation serving *now*; anything swapped in after this
   // point simply is not part of this merge.
-  std::shared_ptr<const KbGeneration> current =
-      target_.Current()->generation;
-  if (current == nullptr) {
-    finish(Status::FailedPrecondition(
-        "merge: the service serves a legacy fixed substrate, not a "
-        "KbGeneration"));
-    return;
-  }
+  std::shared_ptr<const KbGeneration> current = generation_.Current();
   Status compacted = current->Compact(kb_path, embeddings_path);
   if (!compacted.ok()) {
     finish(std::move(compacted));
     return;
   }
-  KbGenerationOptions reload;
-  reload.linker_options = current->linker().pipeline().options();
   Result<std::shared_ptr<const KbGeneration>> merged =
-      KbGeneration::Load(kb_path, embeddings_path, {}, next_id, reload);
+      KbGeneration::Load(kb_path, embeddings_path, {}, next_id,
+                         current->linker().pipeline().options());
   if (!merged.ok()) {
     finish(merged.status());
     return;
@@ -437,11 +391,11 @@ Status BatchLinkingService::ScheduleMerge(std::string kb_path,
 }
 
 std::shared_ptr<const KbGeneration> BatchLinkingService::generation() const {
-  return target_.Current()->generation;
+  return generation_.Current();
 }
 
 uint64_t BatchLinkingService::generation_id() const {
-  return target_.Current()->generation_id();
+  return generation_.Current()->id();
 }
 
 std::vector<ServedResult> BatchLinkingService::LinkBatch(

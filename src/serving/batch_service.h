@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/linker.h"
 #include "common/bounded_queue.h"
 #include "common/circuit_breaker.h"
 #include "common/deadline.h"
@@ -40,8 +39,8 @@ struct ServingOptions {
   /// Requests buffered between admission and the workers.
   size_t queue_capacity = 64;
   /// kReject sheds on a full queue (kResourceExhausted back to the
-  /// caller); kBlock applies backpressure instead — what the offline
-  /// evaluation uses, where shedding would change the scores.
+  /// caller); kBlock applies backpressure instead — what the live-update
+  /// evaluation drill uses, where shedding would change the scores.
   QueueOverflowPolicy overflow = QueueOverflowPolicy::kReject;
   /// Front-door policy; max_pending 0 derives queue_capacity+num_threads.
   AdmissionOptions admission;
@@ -113,27 +112,14 @@ struct ServiceStats {
   double latency_p99_ms = 0.0;
 };
 
-// What a request links against: an immutable linker, plus the KbGeneration
-// that owns its substrate when the service was built generation-aware (null
-// under the legacy raw-Linker constructor, whose substrate the caller owns
-// and never swaps).  Published through the RCU cell below; requests pin one
-// target at the front door and keep it to the end.
-struct ServingTarget {
-  const baselines::Linker* linker = nullptr;
-  std::shared_ptr<const KbGeneration> generation;
-
-  uint64_t generation_id() const {
-    return generation != nullptr ? generation->id() : 0;
-  }
-};
-
-// The concurrent batch serving layer over an immutable linking substrate,
-// hot-swappable between requests.
+// The concurrent batch serving layer over a KbGeneration, hot-swappable
+// between requests.
 //
-// A BatchLinkingService owns a fixed worker pool and wraps a Linker (in
-// production, TenetLinker over one shared KB / embedding / gazetteer
+// A BatchLinkingService owns a fixed worker pool and serves the linker of
+// one KbGeneration (a TenetLinker over a KB / embedding / gazetteer
 // snapshot — all immutable after construction, so workers share them
-// without locks).  Each request flows
+// without locks).  Offline evaluation does not go through this class: the
+// harness calls the linker directly (eval/harness.h).  Each request flows
 //
 //   Submit -> AdmissionController (shed?) -> BoundedQueue (shed/block?)
 //          -> worker: breaker routing -> linker (+ budgeted retries)
@@ -146,18 +132,18 @@ struct ServingTarget {
 // the pipeline's degradation ladder by linking under an already-expired
 // deadline — load on the sick dependency drops, answers keep flowing.
 //
-// Live KB updates (DESIGN.md §12): a service built over a KbGeneration can
-// be re-pointed at a newer generation with SwapGeneration, with zero locks
-// on the read path.  Every request pins the then-current generation inside
-// Submit — before it is queued — so a request that was waiting in the queue
-// across a swap still links against the generation that admitted it, and
-// two calls on the same thread straddling a swap may legitimately see
-// different KBs.  A pinned generation cannot be freed until its last
-// request finishes; a failed swap (injected fault, id regression, or all
-// RCU slots pinned) rolls back: the old generation keeps serving, the
-// failure is counted and reported to the dependency-health plumbing as
-// "serving/kb_swap".  ScheduleMerge runs the delta-folding compaction on
-// the worker pool and swaps in the merged snapshot the same way.
+// Live KB updates (DESIGN.md §12): the service can be re-pointed at a newer
+// generation with SwapGeneration, with zero locks on the read path.  Every
+// request pins the then-current generation inside Submit — before it is
+// queued — so a request that was waiting in the queue across a swap still
+// links against the generation that admitted it, and two calls on the
+// same thread straddling a swap may legitimately see different KBs.  A
+// pinned generation cannot be freed until its last request finishes; a
+// failed swap (injected fault, id regression, or all RCU slots pinned)
+// rolls back: the old generation keeps serving, the failure is counted and
+// reported to the dependency-health plumbing as "serving/kb_swap".
+// ScheduleMerge runs the delta-folding compaction on the worker pool and
+// swaps in the merged snapshot the same way.
 //
 // The service must outlive every callback; the destructor drains queued
 // requests and joins the workers.
@@ -165,13 +151,8 @@ class BatchLinkingService {
  public:
   using Callback = std::function<void(ServedResult)>;
 
-  /// `linker` must outlive the service.  This legacy entry point serves a
-  /// fixed substrate: generation() is null and SwapGeneration still works,
-  /// provided the new generation's id is >= 1.
-  explicit BatchLinkingService(const baselines::Linker* linker,
-                               ServingOptions options = {});
-  /// The generation-aware entry point: the service shares ownership of
-  /// `generation` and serves its linker until a successful SwapGeneration.
+  /// The service shares ownership of `generation` (non-null) and serves its
+  /// linker until a successful SwapGeneration.
   explicit BatchLinkingService(
       std::shared_ptr<const KbGeneration> generation,
       ServingOptions options = {});
@@ -213,11 +194,10 @@ class BatchLinkingService {
                        uint64_t next_id,
                        std::function<void(Status)> done = nullptr);
 
-  /// The currently serving generation (null under the legacy raw-Linker
-  /// constructor before any swap).
+  /// The currently serving generation.
   std::shared_ptr<const KbGeneration> generation() const;
 
-  /// Id of the currently serving generation (0 = legacy fixed substrate).
+  /// Id of the currently serving generation.
   uint64_t generation_id() const;
 
   /// Accounting snapshot, read from the backing registry.
@@ -248,11 +228,11 @@ class BatchLinkingService {
     /// Resolved at the door: the request's own cache, else the
     /// service-owned one, else null.
     embedding::SimilarityCache* similarity_cache = nullptr;
-    /// Pinned at the door: the substrate this request links against,
+    /// Pinned at the door: the generation this request links against,
     /// whatever swaps land while it waits in the queue.  Copies of the
     /// request (ThreadPool tasks are copyable std::functions) each hold
     /// their own pin.
-    RcuCell<ServingTarget>::Pin target;
+    RcuCell<KbGeneration>::Pin generation;
     Callback done;
   };
 
@@ -290,12 +270,8 @@ class BatchLinkingService {
 
   static Instruments MakeInstruments(obs::MetricsRegistry* registry);
 
-  BatchLinkingService(std::shared_ptr<const ServingTarget> target,
-                      ServingOptions options);
-
   Deadline DefaultDeadline() const;
   void Process(Request request);
-  Result<core::LinkingResult> LinkOnce(const Request& request) const;
   CircuitBreaker* MutableBreaker(const char* dependency);
   void RunMerge(std::string kb_path, std::string embeddings_path,
                 uint64_t next_id, std::function<void(Status)> done);
@@ -317,9 +293,9 @@ class BatchLinkingService {
 
   // Declaration order is the destruction contract: the pool (last member)
   // is destroyed first, joining every worker — which releases every
-  // Request's generation pin — before the target cell, the observer scope
-  // and the breakers die.
-  RcuCell<ServingTarget> target_;
+  // Request's generation pin — before the generation cell, the observer
+  // scope and the breakers die.
+  RcuCell<KbGeneration> generation_;
   BreakerObserver observer_;
   ScopedDependencyObserver observer_scope_;
   ThreadPool pool_;

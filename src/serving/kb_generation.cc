@@ -23,12 +23,25 @@ kb::DeltaApplyStats Accumulate(kb::DeltaApplyStats base,
   return base;
 }
 
+// The generation's linker over `view`.  TenetLinker takes its graph knobs
+// from the substrate, so the ones on `options` must ride through it or
+// they would be silently reset to defaults.
+std::unique_ptr<baselines::TenetLinker> MakeLinker(
+    std::shared_ptr<const kb::KbView> view, const text::Gazetteer* gazetteer,
+    const core::TenetOptions& options) {
+  baselines::BaselineSubstrate substrate;
+  substrate.view = std::move(view);
+  substrate.gazetteer = gazetteer;
+  substrate.graph_options = options.graph;
+  return std::make_unique<baselines::TenetLinker>(substrate, options);
+}
+
 }  // namespace
 
 KbGeneration::KbGeneration(kb::KnowledgeBase kb,
                            embedding::EmbeddingStore embeddings, uint64_t id,
                            kb::DeltaApplyStats delta_stats,
-                           const KbGenerationOptions& options)
+                           const core::TenetOptions& options)
     : id_(id),
       kb_(std::move(kb)),
       embeddings_(std::move(embeddings)),
@@ -39,31 +52,18 @@ KbGeneration::KbGeneration(kb::KnowledgeBase kb,
   // The members above sit at their final heap addresses (generations are
   // heap-only and never moved), so the view may capture pointers now.
   view_ = std::make_shared<kb::FlatKbView>(&kb_, &embeddings_);
-  baselines::BaselineSubstrate substrate;
-  substrate.view = view_;
-  substrate.gazetteer = &gazetteer_;
-  // TenetLinker takes its graph knobs from the substrate, so the ones the
-  // caller put on linker_options must ride through it or they'd be
-  // silently reset to defaults here.
-  substrate.graph_options = options.linker_options.graph;
-  linker_ = std::make_unique<baselines::TenetLinker>(substrate,
-                                                     options.linker_options);
+  linker_ = MakeLinker(view_, &gazetteer_, options);
 }
 
 KbGeneration::KbGeneration(std::shared_ptr<const kb::ShardedKb> sharded,
-                           uint64_t id, const KbGenerationOptions& options)
+                           uint64_t id, const core::TenetOptions& options)
     : id_(id),
       embeddings_(/*dimension=*/1, /*num_entities=*/0, /*num_predicates=*/0),
       sharded_(std::move(sharded)),
       view_(sharded_),
       gazetteer_(kb::DeriveGazetteer(*view_)) {
   TENET_CHECK(sharded_ != nullptr);
-  baselines::BaselineSubstrate substrate;
-  substrate.view = view_;
-  substrate.gazetteer = &gazetteer_;
-  substrate.graph_options = options.linker_options.graph;
-  linker_ = std::make_unique<baselines::TenetLinker>(substrate,
-                                                     options.linker_options);
+  linker_ = MakeLinker(view_, &gazetteer_, options);
 }
 
 const kb::KnowledgeBase& KbGeneration::kb() const {
@@ -78,7 +78,7 @@ const embedding::EmbeddingStore& KbGeneration::embeddings() const {
 
 std::shared_ptr<const KbGeneration> KbGeneration::FromSubstrate(
     kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
-    const KbGenerationOptions& options) {
+    const core::TenetOptions& options) {
   // Not make_shared: the constructor is private, and the control block
   // sharing make_shared buys is noise next to the KB itself.
   return std::shared_ptr<const KbGeneration>(
@@ -88,18 +88,16 @@ std::shared_ptr<const KbGeneration> KbGeneration::FromSubstrate(
 
 std::shared_ptr<const KbGeneration> KbGeneration::FromShardedKb(
     std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
-    const KbGenerationOptions& options) {
+    const core::TenetOptions& options) {
   return std::shared_ptr<const KbGeneration>(
       new KbGeneration(std::move(sharded), id, options));
 }
 
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::LoadSharded(
     const std::string& manifest_path, uint64_t id,
-    const KbGenerationOptions& options) {
-  kb::KbLoadOptions load;
-  load.prefer_mmap = options.prefer_mmap;
+    const core::TenetOptions& options) {
   TENET_ASSIGN_OR_RETURN(kb::ShardedKb sharded,
-                         kb::ShardedKb::Load(manifest_path, load));
+                         kb::ShardedKb::Load(manifest_path));
   return FromShardedKb(
       std::make_shared<const kb::ShardedKb>(std::move(sharded)), id, options);
 }
@@ -107,13 +105,11 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::LoadSharded(
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
     const std::string& kb_path, const std::string& embeddings_path,
     std::span<const std::string> delta_paths, uint64_t id,
-    const KbGenerationOptions& options) {
-  kb::KbLoadOptions load;
-  load.prefer_mmap = options.prefer_mmap;
+    const core::TenetOptions& options) {
   TENET_ASSIGN_OR_RETURN(kb::KnowledgeBase kb,
-                         kb::LoadKnowledgeBase(kb_path, load));
+                         kb::LoadKnowledgeBase(kb_path));
   TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore embeddings,
-                         kb::LoadEmbeddings(embeddings_path, load));
+                         kb::LoadEmbeddings(embeddings_path));
   if (delta_paths.empty()) {
     return FromSubstrate(std::move(kb), std::move(embeddings), id, options);
   }
@@ -133,8 +129,7 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
 }
 
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
-    std::span<const kb::DeltaSegment> segments, uint64_t id,
-    const KbGenerationOptions& options) const {
+    std::span<const kb::DeltaSegment> segments, uint64_t id) const {
   if (sharded()) {
     return Status::InvalidArgument(
         "sharded generations are read-only; build a new sharded layout "
@@ -145,7 +140,8 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
       kb::ApplyDeltas(kb_, embeddings_, segments));
   return std::shared_ptr<const KbGeneration>(new KbGeneration(
       std::move(applied.kb), std::move(applied.embeddings), id,
-      Accumulate(delta_stats_, applied.stats), options));
+      Accumulate(delta_stats_, applied.stats),
+      linker_->pipeline().options()));
 }
 
 Status KbGeneration::Compact(const std::string& kb_path,

@@ -20,14 +20,6 @@
 namespace tenet {
 namespace serving {
 
-// Construction knobs shared by every KbGeneration factory.
-struct KbGenerationOptions {
-  /// Pipeline tuning of the generation's linker.
-  core::TenetOptions linker_options;
-  /// Forwarded to the snapshot loaders (Load only).
-  bool prefer_mmap = true;
-};
-
 // One immutable, self-contained serving substrate: a KB snapshot with any
 // number of TENETDELTA1 segments applied, plus the embedding store, the
 // derived gazetteer, and a TenetLinker built over all of it (DESIGN.md
@@ -40,14 +32,15 @@ struct KbGenerationOptions {
 // must sit at their final addresses before it is built.  The `id` is the
 // monotonically increasing generation number the caller assigns; the
 // serving layer requires each published generation's id to exceed the one
-// it replaces.
+// it replaces.  Every factory takes the pipeline tuning of the generation's
+// linker; WithDeltas inherits it from the receiver.
 class KbGeneration {
  public:
   /// Loads the snapshot pair and applies `delta_paths` in order.
   static Result<std::shared_ptr<const KbGeneration>> Load(
       const std::string& kb_path, const std::string& embeddings_path,
       std::span<const std::string> delta_paths, uint64_t id,
-      const KbGenerationOptions& options = {});
+      const core::TenetOptions& options = {});
 
   /// Loads a sharded layout ("TENETKBSHARDS1" manifest, DESIGN.md §14) and
   /// serves it through the same linker stack: candidate generation runs
@@ -56,25 +49,24 @@ class KbGeneration {
   /// reject them (write a new sharded layout offline instead).
   static Result<std::shared_ptr<const KbGeneration>> LoadSharded(
       const std::string& manifest_path, uint64_t id,
-      const KbGenerationOptions& options = {});
+      const core::TenetOptions& options = {});
 
   /// Wraps an already-built substrate (both must be finalized).
   static std::shared_ptr<const KbGeneration> FromSubstrate(
       kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
-      const KbGenerationOptions& options = {});
+      const core::TenetOptions& options = {});
 
   /// Wraps an already-built sharded substrate (same contract as
   /// LoadSharded).
   static std::shared_ptr<const KbGeneration> FromShardedKb(
       std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
-      const KbGenerationOptions& options = {});
+      const core::TenetOptions& options = {});
 
-  /// A new generation = this one + `segments` (applied in order).  The
-  /// receiver is untouched and keeps serving.  kInvalidArgument on a
-  /// sharded generation.
+  /// A new generation = this one + `segments` (applied in order), linked
+  /// with this generation's pipeline options.  The receiver is untouched
+  /// and keeps serving.  kInvalidArgument on a sharded generation.
   Result<std::shared_ptr<const KbGeneration>> WithDeltas(
-      std::span<const kb::DeltaSegment> segments, uint64_t id,
-      const KbGenerationOptions& options = {}) const;
+      std::span<const kb::DeltaSegment> segments, uint64_t id) const;
 
   /// Persists this generation as a fresh TENETKB3 + TENETEMB1 pair — the
   /// merge step that folds applied deltas back into a base snapshot.  Both
@@ -107,9 +99,9 @@ class KbGeneration {
  private:
   KbGeneration(kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings,
                uint64_t id, kb::DeltaApplyStats delta_stats,
-               const KbGenerationOptions& options);
+               const core::TenetOptions& options);
   KbGeneration(std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
-               const KbGenerationOptions& options);
+               const core::TenetOptions& options);
 
   const uint64_t id_;
   // Flat substrate (empty for sharded generations).

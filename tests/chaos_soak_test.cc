@@ -20,11 +20,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/tenet_linker.h"
 #include "common/fault_injection.h"
 #include "datasets/adversarial.h"
 #include "datasets/corpus_generator.h"
@@ -59,11 +59,9 @@ struct Tally {
 
 class ChaosSoakTest : public ::testing::Test {
  protected:
-  ChaosSoakTest()
-      : world_(datasets::BuildWorld()),
-        linker_(baselines::BaselineSubstrate{
-            &world_.kb(), &world_.embeddings, &world_.gazetteer(), {}, {}}) {
-    datasets::CorpusGenerator generator(&world_.kb_world);
+  ChaosSoakTest() {
+    datasets::SyntheticWorld world = datasets::BuildWorld();
+    datasets::CorpusGenerator generator(&world.kb_world);
     Rng rng(4242);
     datasets::DatasetSpec spec = datasets::TRex42Spec();
     spec.num_docs = kDocsPerRound;
@@ -71,6 +69,9 @@ class ChaosSoakTest : public ::testing::Test {
          generator.Generate(spec, rng).documents) {
       texts_.push_back(doc.text);
     }
+    generation_ = KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
+                                              std::move(world.embeddings),
+                                              /*id=*/1);
 
     ServingOptions options;
     // A per-fixture registry windows the counters to this soak run; the
@@ -86,7 +87,7 @@ class ChaosSoakTest : public ::testing::Test {
     options.breaker.open_cooldown_ms = 10.0;
     options.breaker.half_open_probes = 8;
     options.breaker.half_open_successes = 2;
-    service_ = std::make_unique<BatchLinkingService>(&linker_, options);
+    service_ = std::make_unique<BatchLinkingService>(generation_, options);
   }
 
   // One soak round: kDriverThreads threads each push the whole corpus
@@ -169,8 +170,7 @@ class ChaosSoakTest : public ::testing::Test {
               static_cast<double>(service_->breaker(dependency)->state()));
   }
 
-  datasets::SyntheticWorld world_;
-  baselines::TenetLinker linker_;
+  std::shared_ptr<const KbGeneration> generation_;
   std::vector<std::string> texts_;
   obs::MetricsRegistry registry_;  // declared before the service it feeds
   std::unique_ptr<BatchLinkingService> service_;
@@ -421,11 +421,9 @@ TEST_F(SwapStormTest, SurvivesAHundredFaultySwapsUnderConcurrentLoad) {
 // tenet_input_rejected_total.
 class HostileStormTest : public ::testing::Test {
  protected:
-  HostileStormTest()
-      : world_(datasets::BuildWorld()),
-        linker_(baselines::BaselineSubstrate{
-            &world_.kb(), &world_.embeddings, &world_.gazetteer(), {}, {}}) {
-    datasets::CorpusGenerator generator(&world_.kb_world);
+  HostileStormTest() {
+    datasets::SyntheticWorld world = datasets::BuildWorld();
+    datasets::CorpusGenerator generator(&world.kb_world);
     Rng rng(4242);
     datasets::DatasetSpec spec = datasets::TRex42Spec();
     spec.num_docs = kDocsPerRound;
@@ -440,17 +438,20 @@ class HostileStormTest : public ::testing::Test {
       texts_.push_back(doc.text);
     }
 
-    datasets::SessionGenerator session_generator(&world_.kb_world);
+    datasets::SessionGenerator session_generator(&world.kb_world);
     datasets::SessionSpec session_spec;
     session_spec.num_sessions = kDriverThreads;
     sessions_ = session_generator.Generate(session_spec, rng);
+    generation_ = KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
+                                              std::move(world.embeddings),
+                                              /*id=*/1);
 
     ServingOptions options;
     options.metrics = &registry_;
     options.num_threads = 4;
     options.queue_capacity = 64;
     options.overflow = QueueOverflowPolicy::kReject;
-    service_ = std::make_unique<BatchLinkingService>(&linker_, options);
+    service_ = std::make_unique<BatchLinkingService>(generation_, options);
   }
 
   void Classify(const std::vector<ServedResult>& served, Tally* tally) {
@@ -469,8 +470,7 @@ class HostileStormTest : public ::testing::Test {
     }
   }
 
-  datasets::SyntheticWorld world_;
-  baselines::TenetLinker linker_;
+  std::shared_ptr<const KbGeneration> generation_;
   std::vector<std::string> texts_;
   datasets::SessionDataset sessions_;
   obs::MetricsRegistry registry_;  // declared before the service it feeds
@@ -518,7 +518,7 @@ TEST_F(HostileStormTest, SurvivesHostileInputsAndConcurrentSessions) {
         if (served.size() == 1 && !served[0].shed && served[0].result.ok()) {
           core::LinkingResult result = *served[0].result;
           SessionTurnStats stats =
-              context.ApplySessionCoherence(world_.kb(), &result);
+              context.ApplySessionCoherence(generation_->kb(), &result);
           session_interventions.fetch_add(stats.relinked_to_memory +
                                           stats.isolated_resolved);
           context.ObserveTurn(result);

@@ -1,6 +1,11 @@
 // Smoke tests of the experiment harness (eval/harness) and the sparsity
 // analysis (eval/sparsity), over a miniature world.
 #include <cmath>
+#include <mutex>
+#include <string>
+#include <string_view>
+#include <unordered_set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +107,72 @@ TEST(HarnessTest, ParallelEvaluationMatchesSerialExactly) {
   EXPECT_EQ(serial.full_documents, parallel.full_documents);
   EXPECT_EQ(serial.degraded_documents, parallel.degraded_documents);
   EXPECT_TRUE(parallel.failures.empty());
+}
+
+// Fails the first call for each document with kInternal and answers every
+// later call through `inner` — a transient fault that any retry would hide.
+class FlakyOnceLinker : public baselines::Linker {
+ public:
+  explicit FlakyOnceLinker(const baselines::Linker* inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_->name(); }
+
+  Result<core::LinkingResult> LinkDocument(
+      std::string_view document_text,
+      const core::LinkContext& context = {}) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (seen_.insert(std::string(document_text)).second) {
+        return Status::Internal("transient fault");
+      }
+    }
+    return inner_->LinkDocument(document_text, context);
+  }
+
+  Result<core::LinkingResult> LinkMentionSet(
+      core::MentionSet mentions,
+      const core::LinkContext& context = {}) const override {
+    return inner_->LinkMentionSet(std::move(mentions), context);
+  }
+
+ private:
+  const baselines::Linker* inner_;
+  mutable std::mutex mu_;
+  mutable std::unordered_set<std::string> seen_;
+};
+
+TEST(HarnessTest, ParallelCountsFailuresLikeSerial) {
+  datasets::Dataset ds = TinyDataset(62);
+  baselines::TenetLinker tenet(Substrate());
+  FlakyOnceLinker serial_linker(&tenet);
+  FlakyOnceLinker parallel_linker(&tenet);
+  EvalOptions parallel_options;
+  parallel_options.num_threads = 4;
+
+  // First pass: every document's one and only call fails, at any thread
+  // count — the harness links each document once and never retries.
+  SystemScores serial = EvaluateEndToEnd(serial_linker, ds);
+  SystemScores parallel =
+      EvaluateEndToEnd(parallel_linker, ds, parallel_options);
+  EXPECT_EQ(serial.failed_documents, static_cast<int>(ds.documents.size()));
+  EXPECT_EQ(parallel.failed_documents, serial.failed_documents);
+  EXPECT_EQ(parallel.CrashedDocuments(), serial.CrashedDocuments());
+  EXPECT_EQ(parallel.entity_linking.tp, serial.entity_linking.tp);
+  EXPECT_EQ(parallel.entity_linking.fn, serial.entity_linking.fn);
+
+  // Second pass: the faults are spent, and both runs score the same
+  // non-trivial PRF.
+  serial = EvaluateEndToEnd(serial_linker, ds);
+  parallel = EvaluateEndToEnd(parallel_linker, ds, parallel_options);
+  EXPECT_EQ(serial.failed_documents, 0);
+  EXPECT_EQ(parallel.failed_documents, 0);
+  EXPECT_GT(serial.entity_linking.tp, 0);
+  EXPECT_EQ(parallel.entity_linking.tp, serial.entity_linking.tp);
+  EXPECT_EQ(parallel.entity_linking.fp, serial.entity_linking.fp);
+  EXPECT_EQ(parallel.entity_linking.fn, serial.entity_linking.fn);
+  EXPECT_EQ(parallel.relation_linking.tp, serial.relation_linking.tp);
+  EXPECT_EQ(parallel.relation_linking.fp, serial.relation_linking.fp);
+  EXPECT_EQ(parallel.relation_linking.fn, serial.relation_linking.fn);
 }
 
 TEST(HarnessTest, ReportsBothSummedLatencyAndWallClock) {

@@ -47,7 +47,7 @@ struct WorldIds {
 
 std::shared_ptr<const KbGeneration> FigureOneGeneration(
     uint64_t id, WorldIds* ids = nullptr,
-    const KbGenerationOptions& options = {}) {
+    const core::TenetOptions& options = {}) {
   FigureOneWorld world = BuildFigureOneWorld();
   if (ids != nullptr) {
     ids->professor = world.professor;
@@ -124,6 +124,25 @@ std::vector<kb::DeltaSegment> TokyoDelta(const KbGeneration& base,
   std::vector<kb::DeltaSegment> segments;
   segments.push_back(builder.Build());
   return segments;
+}
+
+TEST(KbUpdateTest, WithDeltasKeepsThePipelineOptions) {
+  // A delta changes the KB, not how it is linked: the new generation's
+  // linker must run with the receiver's tuning, not the defaults.
+  core::TenetOptions options;
+  options.deadline_ms = 250.0;
+  options.graph.max_candidates_per_mention = 3;
+  ASSERT_NE(options.graph.max_candidates_per_mention,
+            core::TenetOptions{}.graph.max_candidates_per_mention);
+  std::shared_ptr<const KbGeneration> gen1 =
+      FigureOneGeneration(1, nullptr, options);
+  Result<std::shared_ptr<const KbGeneration>> gen2 =
+      gen1->WithDeltas(TokyoDelta(*gen1), /*id=*/2);
+  ASSERT_TRUE(gen2.ok()) << gen2.status();
+
+  const core::TenetOptions& kept = (*gen2)->linker().pipeline().options();
+  EXPECT_EQ(kept.deadline_ms, 250.0);
+  EXPECT_EQ(kept.graph.max_candidates_per_mention, 3);
 }
 
 TEST(KbUpdateTest, PostSwapRequestsSeeTheDeltaAndMetricsPublish) {

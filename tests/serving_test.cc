@@ -3,19 +3,21 @@
 // shared retry budget.
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/tenet_linker.h"
 #include "common/fault_injection.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
 #include "obs/metrics.h"
 #include "serving/admission_controller.h"
 #include "serving/batch_service.h"
+#include "serving/kb_generation.h"
 
 namespace tenet {
 namespace serving {
@@ -35,9 +37,14 @@ datasets::Dataset TinyDataset(uint64_t seed, int num_docs = 8) {
   return gen.Generate(spec, rng);
 }
 
-baselines::BaselineSubstrate Substrate() {
-  return baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}};
+// A generation over a fresh copy of the synthetic world: BuildWorld is
+// deterministic, so it is the KB TinyDataset's corpora were drawn from.
+std::shared_ptr<const KbGeneration> Generation(
+    const core::TenetOptions& options = {}) {
+  datasets::SyntheticWorld world = datasets::BuildWorld();
+  return KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
+                                     std::move(world.embeddings), /*id=*/1,
+                                     options);
 }
 
 std::vector<std::string> Texts(const datasets::Dataset& ds) {
@@ -78,12 +85,13 @@ TEST(AdmissionControllerTest, ShedsRequestsWithoutDeadlineSlack) {
 
 TEST(BatchServiceTest, BatchMatchesSerialInInputOrder) {
   datasets::Dataset ds = TinyDataset(81);
-  baselines::TenetLinker tenet(Substrate());
+  std::shared_ptr<const KbGeneration> generation = Generation();
 
-  // Serial reference.
+  // Serial reference: the generation's own linker, called directly.
   std::vector<size_t> reference_links;
   for (const datasets::Document& doc : ds.documents) {
-    Result<core::LinkingResult> r = tenet.LinkDocument(doc.text);
+    Result<core::LinkingResult> r =
+        generation->linker().LinkDocument(doc.text);
     ASSERT_TRUE(r.ok());
     reference_links.push_back(r->links.size());
   }
@@ -96,7 +104,7 @@ TEST(BatchServiceTest, BatchMatchesSerialInInputOrder) {
   options.num_threads = 4;
   options.queue_capacity = ds.documents.size();
   options.overflow = QueueOverflowPolicy::kBlock;
-  BatchLinkingService service(&tenet, options);
+  BatchLinkingService service(generation, options);
   std::vector<ServedResult> served = service.LinkBatch(Texts(ds));
 
   ASSERT_EQ(served.size(), ds.documents.size());
@@ -117,7 +125,7 @@ TEST(BatchServiceTest, BatchMatchesSerialInInputOrder) {
 
 TEST(BatchServiceTest, EveryRequestResolvesToFullDegradedOrShed) {
   datasets::Dataset ds = TinyDataset(82, /*num_docs=*/12);
-  baselines::TenetLinker tenet(Substrate());
+  std::shared_ptr<const KbGeneration> generation = Generation();
 
   // A tiny rejecting queue and a single worker: some requests must shed.
   obs::MetricsRegistry registry;
@@ -126,7 +134,7 @@ TEST(BatchServiceTest, EveryRequestResolvesToFullDegradedOrShed) {
   options.num_threads = 1;
   options.queue_capacity = 2;
   options.overflow = QueueOverflowPolicy::kReject;
-  BatchLinkingService service(&tenet, options);
+  BatchLinkingService service(generation, options);
   std::vector<ServedResult> served = service.LinkBatch(Texts(ds));
 
   int shed = 0;
@@ -149,7 +157,7 @@ TEST(BatchServiceTest, EveryRequestResolvesToFullDegradedOrShed) {
 
 TEST(BatchServiceTest, ShedRequestsAreCountedButNeverTimed) {
   datasets::Dataset ds = TinyDataset(87, /*num_docs=*/12);
-  baselines::TenetLinker tenet(Substrate());
+  std::shared_ptr<const KbGeneration> generation = Generation();
 
   obs::MetricsRegistry registry;
   ServingOptions options;
@@ -157,7 +165,7 @@ TEST(BatchServiceTest, ShedRequestsAreCountedButNeverTimed) {
   options.num_threads = 1;
   options.queue_capacity = 2;
   options.overflow = QueueOverflowPolicy::kReject;
-  BatchLinkingService service(&tenet, options);
+  BatchLinkingService service(generation, options);
   std::vector<ServedResult> served = service.LinkBatch(Texts(ds));
 
   int shed = 0;
@@ -188,7 +196,7 @@ TEST(BatchServiceTest, ShedRequestsAreCountedButNeverTimed) {
 
 TEST(BatchServiceTest, OpenBreakerRoutesToDegradedTier) {
   datasets::Dataset ds = TinyDataset(83);
-  baselines::TenetLinker tenet(Substrate());
+  std::shared_ptr<const KbGeneration> generation = Generation();
 
   obs::MetricsRegistry registry;
   ServingOptions options;
@@ -200,7 +208,7 @@ TEST(BatchServiceTest, OpenBreakerRoutesToDegradedTier) {
   options.breaker.min_samples = 8;
   options.breaker.failure_threshold = 0.4;
   options.breaker.open_cooldown_ms = 60000.0;  // stays open for the test
-  BatchLinkingService service(&tenet, options);
+  BatchLinkingService service(generation, options);
 
   {
     FaultInjector faults(91);
@@ -231,7 +239,7 @@ TEST(BatchServiceTest, OpenBreakerRoutesToDegradedTier) {
 
 TEST(BatchServiceTest, BreakerRecoversAfterFaultsClear) {
   datasets::Dataset ds = TinyDataset(84);
-  baselines::TenetLinker tenet(Substrate());
+  std::shared_ptr<const KbGeneration> generation = Generation();
 
   obs::MetricsRegistry registry;
   ServingOptions options;
@@ -245,7 +253,7 @@ TEST(BatchServiceTest, BreakerRecoversAfterFaultsClear) {
   options.breaker.open_cooldown_ms = 5.0;
   options.breaker.half_open_probes = 4;
   options.breaker.half_open_successes = 2;
-  BatchLinkingService service(&tenet, options);
+  BatchLinkingService service(generation, options);
 
   {
     FaultInjector faults(92);
@@ -274,7 +282,7 @@ TEST(BatchServiceTest, RetryBudgetBoundsRetriesDuringAnOutage) {
   // is what request-level retries act on.
   core::TenetOptions tenet_options;
   tenet_options.degrade_to_prior = false;
-  baselines::TenetLinker tenet(Substrate(), tenet_options);
+  std::shared_ptr<const KbGeneration> generation = Generation(tenet_options);
 
   obs::MetricsRegistry registry;
   ServingOptions options;
@@ -288,7 +296,7 @@ TEST(BatchServiceTest, RetryBudgetBoundsRetriesDuringAnOutage) {
   options.retry_budget.cost_per_retry = 1.0;
   // Keep the breaker from masking the retry path.
   options.breaker.min_samples = 1000000;
-  BatchLinkingService service(&tenet, options);
+  BatchLinkingService service(generation, options);
 
   FaultInjector faults(93);
   faults.Arm("core/cover_solve", 1.0);
@@ -305,7 +313,7 @@ TEST(BatchServiceTest, RetryBudgetBoundsRetriesDuringAnOutage) {
 
 TEST(BatchServiceTest, AsyncSubmitInvokesCallbackExactlyOnce) {
   datasets::Dataset ds = TinyDataset(86, /*num_docs=*/4);
-  baselines::TenetLinker tenet(Substrate());
+  std::shared_ptr<const KbGeneration> generation = Generation();
   obs::MetricsRegistry registry;  // outlives the scoped service below
   ServingOptions options;
   options.metrics = &registry;
@@ -315,7 +323,7 @@ TEST(BatchServiceTest, AsyncSubmitInvokesCallbackExactlyOnce) {
 
   std::atomic<int> callbacks{0};
   {
-    BatchLinkingService service(&tenet, options);
+    BatchLinkingService service(generation, options);
     for (const datasets::Document& doc : ds.documents) {
       ASSERT_TRUE(service
                       .Submit(doc.text,

@@ -24,8 +24,9 @@
 //             [--similarity-cache-mb N] [--metrics-out FILE]
 //             [--kb-update-every N]
 //       Builds the synthetic world, generates the evaluation corpora and
-//       scores TENET end-to-end on each.  With --threads N > 1 the batch
-//       is served through the concurrent BatchLinkingService.  Exits
+//       scores TENET end-to-end on each.  --threads N links the documents
+//       of a corpus on N worker threads; scores are merged in dataset
+//       order, so they are identical at every thread count.  Exits
 //       non-zero when any document *crashed* — failed for a reason other
 //       than a deliberate guardrail rejection — listing each failure.
 //       --scenario picks the workload (DESIGN.md §13): `clean` is the
@@ -682,8 +683,8 @@ int main(int argc, char** argv) {
     core::TenetOptions tenet_options;
     tenet_options.deadline_ms = args->deadline_ms;
     // The cache is installed statically on the coherence-graph options (the
-    // substrate carries them into the linker) so both the single-threaded
-    // harness path and the served path share it across every document.
+    // substrate carries them into the linker) so every worker of the
+    // harness, and the live drill's service, share it across every document.
     std::unique_ptr<embedding::SimilarityCache> similarity_cache;
     core::CoherenceGraphOptions graph_options;
     if (args->similarity_cache_mb > 0) {
@@ -822,9 +823,8 @@ int main(int argc, char** argv) {
       // Live-update drill: the world moves into generation 1, a
       // generation-aware service serves every corpus, and after every N
       // documents a fresh delta generation is swapped in under the load.
-      serving::KbGenerationOptions gen_options;
-      gen_options.linker_options = tenet_options;
-      gen_options.linker_options.graph = graph_options;
+      core::TenetOptions gen_options = tenet_options;
+      gen_options.graph = graph_options;
       std::shared_ptr<const serving::KbGeneration> base =
           serving::KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
                                                std::move(world.embeddings),
@@ -842,7 +842,7 @@ int main(int argc, char** argv) {
 
       eval::KbUpdatePlan plan;
       plan.every = args->kb_update_every;
-      plan.apply = [&args, &gen_options](
+      plan.apply = [&args](
                        serving::BatchLinkingService& svc, int update) {
         std::shared_ptr<const serving::KbGeneration> current =
             svc.generation();
@@ -863,7 +863,7 @@ int main(int argc, char** argv) {
         std::vector<kb::DeltaSegment> segments;
         segments.push_back(builder.Build());
         Result<std::shared_ptr<const serving::KbGeneration>> next =
-            current->WithDeltas(segments, current->id() + 1, gen_options);
+            current->WithDeltas(segments, current->id() + 1);
         if (!next.ok()) {
           std::fprintf(stderr, "update %d: %s\n", update,
                        next.status().ToString().c_str());
