@@ -60,6 +60,33 @@ void BM_KruskalMst(benchmark::State& state) {
 }
 BENCHMARK(BM_KruskalMst)->Arg(64)->Arg(256)->Arg(1024);
 
+// The shape Algorithm 1 step (c) sees: M mention nodes contracted into one
+// root, C concept nodes owned round-robin by the mentions (one mention edge
+// each, weight 1 - prior), and a clique over concepts of different mentions
+// (weight 1 - cos), inserted in the coherence builder's order.  Args are
+// (M, C): (37, 39) is servebench clean_mix's mean document, (70, 71) the
+// huge tier's.
+void BM_KruskalMstCoherence(benchmark::State& state) {
+  const int mentions = static_cast<int>(state.range(0));
+  const int concepts = static_cast<int>(state.range(1));
+  Rng rng(46);
+  graph::WeightedGraph g(mentions + concepts);
+  for (int c = 0; c < concepts; ++c) {
+    g.AddEdge(c % mentions, mentions + c, rng.NextDouble(0.0, 0.9));
+  }
+  for (int a = 0; a < concepts; ++a) {
+    for (int b = a + 1; b < concepts; ++b) {
+      if (a % mentions == b % mentions) continue;
+      g.AddEdge(mentions + a, mentions + b, rng.NextDouble(0.2, 1.0));
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::KruskalMst(g, mentions, mentions));
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_KruskalMstCoherence)->Args({37, 39})->Args({70, 71});
+
 void BM_Dijkstra(benchmark::State& state) {
   graph::WeightedGraph g =
       RandomGraph(static_cast<int>(state.range(0)), 0.1, 43);

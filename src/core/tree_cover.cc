@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <unordered_set>
 
 #include "common/dependency_health.h"
@@ -18,12 +20,29 @@ namespace tenet {
 namespace core {
 namespace {
 
-// Accumulates distinct edges/nodes of one cover tree.
+// Writes `edges`, parent -> child in BFS order from `tree->root`, as the
+// edges, nodes and weight of `tree` (weight summed in that order).
+void SetTreeEdges(const std::vector<graph::TreeEdge>& edges, CoverTree* tree) {
+  tree->edges.clear();
+  tree->edges.reserve(edges.size());
+  tree->nodes.assign(1, tree->root);
+  tree->nodes.reserve(edges.size() + 1);
+  tree->weight = 0.0;
+  for (const graph::TreeEdge& e : edges) {
+    tree->edges.push_back(graph::Edge{e.parent, e.child, e.weight});
+    tree->nodes.push_back(e.child);
+    tree->weight += e.weight;
+  }
+}
+
+// Accumulates distinct edges/nodes of one cover tree, starting from the
+// mention's own (leftover) tree.
 class CoverTreeAccumulator {
  public:
-  explicit CoverTreeAccumulator(int root) {
-    tree_.root = root;
-    AddNode(root);
+  explicit CoverTreeAccumulator(const CoverTree& seed) {
+    tree_.root = seed.root;
+    AddNode(seed.root);
+    for (const graph::Edge& e : seed.edges) AddEdge(e.u, e.v, e.weight);
   }
 
   void AddNode(int node) {
@@ -98,10 +117,10 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
   if (num_concepts == 0) return cover;  // every mention isolated
 
   // ---- Steps (a)-(c): prune, contract the mentions into r, MST ----------
-  // All on cg.graph(): Kruskal skips edges heavier than B and starts the
-  // mention nodes [0, M) in one union-find set, which is r.  Every concept
-  // node has exactly one mention edge (its owner's), so the contraction
-  // never merges parallel edges.
+  // All on cg.graph(): KruskalMst skips edges heavier than B and seeds the
+  // mention nodes [0, M) as one root, which is r.  Every concept node has
+  // exactly one mention edge (its owner's), so the contraction never merges
+  // parallel edges.
   const graph::WeightedGraph& g = cg.graph();
   if (stats != nullptr) {
     stats->pruned_edges = static_cast<int>(std::count_if(
@@ -118,53 +137,70 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
   }
 
   // ---- Step (d): decompose r back into the mentions ----------------------
-  // Each MST edge with a mention endpoint hangs one component of MST \ {r}
-  // off that mention.  A mention's tree is the run of its components in
-  // MST order, each collected as edges oriented away from the mention.
-  std::vector<graph::TreeEdge> star_edges;  // mention -> concept
-  std::vector<std::vector<std::pair<int, double>>> mst_adj(cg.num_nodes());
+  // Each MST edge with a mention endpoint (a star edge) hangs one component
+  // of MST \ {r} off that mention.  The star edges per mention and the
+  // concept-concept MST adjacency are flat arrays in MST order: count per
+  // key, prefix-sum to range ends, then fill backwards, which leaves
+  // at[k]..at[k + 1] as key k's range.
+  const int num_nodes = cg.num_nodes();
+  std::vector<int> star_at(num_mentions + 1, 0);
+  std::vector<int> adj_at(num_nodes + 1, 0);
   for (int edge_index : mst.edge_indices) {
     const graph::Edge& e = g.edges()[edge_index];
     const int lo = std::min(e.u, e.v);  // mention ids precede concept ids
     if (cg.IsMentionNode(lo)) {
-      star_edges.push_back(
-          graph::TreeEdge{lo, std::max(e.u, e.v), e.weight});
+      ++star_at[lo];
     } else {
-      mst_adj[e.u].emplace_back(e.v, e.weight);
-      mst_adj[e.v].emplace_back(e.u, e.weight);
+      ++adj_at[e.u];
+      ++adj_at[e.v];
     }
   }
-  std::vector<std::vector<graph::TreeEdge>> edges_by_mention(num_mentions);
-  for (const graph::TreeEdge& star : star_edges) {
-    std::vector<graph::TreeEdge>& edges = edges_by_mention[star.parent];
-    edges.push_back(star);
-    std::vector<std::pair<int, int>> stack{{star.child, star.parent}};
-    while (!stack.empty()) {
-      const auto [node, parent] = stack.back();
-      stack.pop_back();
-      for (const auto& [next, w] : mst_adj[node]) {
-        if (next == parent) continue;
-        edges.push_back(graph::TreeEdge{node, next, w});
-        stack.emplace_back(next, node);
-      }
+  std::partial_sum(star_at.begin(), star_at.end(), star_at.begin());
+  std::partial_sum(adj_at.begin(), adj_at.end(), adj_at.begin());
+  std::vector<graph::TreeEdge> stars(star_at[num_mentions]);
+  std::vector<std::pair<int, double>> adj(adj_at[num_nodes]);
+  for (auto it = mst.edge_indices.rbegin(); it != mst.edge_indices.rend();
+       ++it) {
+    const graph::Edge& e = g.edges()[*it];
+    const int lo = std::min(e.u, e.v);
+    if (cg.IsMentionNode(lo)) {
+      stars[--star_at[lo]] = graph::TreeEdge{lo, std::max(e.u, e.v), e.weight};
+    } else {
+      adj[--adj_at[e.u]] = {e.v, e.weight};
+      adj[--adj_at[e.v]] = {e.u, e.weight};
     }
   }
 
   // ---- Step (e): tree splitting ------------------------------------------
-  // Each leftover stays with its mention; the carved subtrees go to (f).
-  std::vector<CoverTreeAccumulator> accumulators;
-  accumulators.reserve(num_mentions);
-  for (int m = 0; m < num_mentions; ++m) accumulators.emplace_back(m);
+  // A mention's tree is walked breadth first: its star edges in MST order,
+  // then each node's children in adjacency order — the order in which
+  // RootedTree::FromOrientedEdges lays the tree out, so the edges and the
+  // weight summed along them are those SplitTree would see.  A tree within
+  // B is its own leftover (Algorithm 2 lines 1-2) and is written directly;
+  // only heavier trees are built and split.  Each leftover stays with its
+  // mention; the carved subtrees go to (f).
   std::vector<graph::RootedTree> subtrees;
+  std::vector<graph::TreeEdge> walk;
   for (int mention = 0; mention < num_mentions; ++mention) {
-    const std::vector<graph::TreeEdge>& edges = edges_by_mention[mention];
-    if (edges.empty()) continue;
-    Result<graph::RootedTree> tree =
-        graph::RootedTree::FromOrientedEdges(mention, edges);
-    TENET_CHECK(tree.ok()) << tree.status();
-    Result<SplitResult> split = SplitTree(tree.value(), bound);
+    walk.assign(stars.begin() + star_at[mention],
+                stars.begin() + star_at[mention + 1]);
+    for (size_t head = 0; head < walk.size(); ++head) {
+      const int parent = walk[head].parent;
+      const int node = walk[head].child;
+      for (int i = adj_at[node]; i < adj_at[node + 1]; ++i) {
+        const auto [next, weight] = adj[i];
+        if (next != parent) walk.push_back(graph::TreeEdge{node, next, weight});
+      }
+    }
+    CoverTree& tree = cover.trees[mention];
+    SetTreeEdges(walk, &tree);
+    if (tree.weight <= bound) continue;
+    Result<graph::RootedTree> rooted =
+        graph::RootedTree::FromOrientedEdges(mention, walk);
+    TENET_CHECK(rooted.ok()) << rooted.status();
+    Result<SplitResult> split = SplitTree(rooted.value(), bound);
     TENET_CHECK(split.ok()) << split.status();
-    accumulators[mention].AddTree(split.value().leftover);
+    SetTreeEdges(split.value().leftover.edges(), &tree);
     for (graph::RootedTree& s : split.value().subtrees) {
       subtrees.push_back(std::move(s));
     }
@@ -210,24 +246,27 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
     }
     if (stats != nullptr) stats->matched_subtrees = matched;
 
+    // A mention that receives a subtree grows its tree edge by edge.
+    std::vector<std::optional<CoverTreeAccumulator>> grown(num_mentions);
     for (size_t s = 0; s < subtrees.size(); ++s) {
       int mention = matcher.MatchOfRight(static_cast<int>(s));
       TENET_DCHECK(mention >= 0);
-      CoverTreeAccumulator& acc = accumulators[mention];
-      acc.AddTree(subtrees[s]);
+      std::optional<CoverTreeAccumulator>& acc = grown[mention];
+      if (!acc) acc.emplace(cover.trees[mention]);
+      acc->AddTree(subtrees[s]);
       // Shortest path mention -> subtree.
       std::vector<int> path =
           paths[mention].PathTo(g, closest_node[mention][s]);
       for (size_t i = 1; i < path.size(); ++i) {
         const int edge_index = paths[mention].predecessor_edge[path[i]];
-        acc.AddEdge(path[i - 1], path[i], g.edges()[edge_index].weight);
+        acc->AddEdge(path[i - 1], path[i], g.edges()[edge_index].weight);
       }
+    }
+    for (int m = 0; m < num_mentions; ++m) {
+      if (grown[m]) cover.trees[m] = grown[m]->Take();
     }
   }
 
-  for (int m = 0; m < num_mentions; ++m) {
-    cover.trees[m] = accumulators[m].Take();
-  }
   if (stats != nullptr) stats->cover_total_edges = cover.TotalEdges();
   return cover;
 }

@@ -57,8 +57,10 @@ struct TreeCoverStats {
 //       shortest-path distance <= B, then merge leftover + path + subtree.
 //
 // Every step reads the coherence graph in place: pruning is a weight <= B
-// filter, and the contraction is Kruskal's union-find starting with the
-// mention nodes in one set, so no pruned or contracted copy is built.
+// filter, and the contraction seeds the MST with all mention nodes as one
+// root, so no pruned or contracted copy is built.  A mention tree within B
+// is written straight into the cover; only heavier trees are built as
+// RootedTrees and split.
 //
 // Returns kBoundTooSmall (the paper's failure warning) when the pruned
 // contracted graph is disconnected or the matching cannot place every

@@ -1,12 +1,8 @@
 #include "graph/mst.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <tuple>
 
 #include "common/logging.h"
-#include "graph/union_find.h"
 
 namespace tenet {
 namespace graph {
@@ -14,66 +10,75 @@ namespace graph {
 SpanningForest KruskalMst(const WeightedGraph& g, double bound,
                           int num_contracted) {
   TENET_CHECK(num_contracted >= 0 && num_contracted <= g.num_nodes());
-  SpanningForest result;
+  const int n = g.num_nodes();
   const std::vector<Edge>& edges = g.edges();
-  std::vector<int> order;
-  order.reserve(edges.size());
-  for (int i = 0; i < g.num_edges(); ++i) {
-    if (edges[i].weight <= bound) order.push_back(i);
-  }
-  std::sort(order.begin(), order.end(), [&edges](int a, int b) {
-    if (edges[a].weight != edges[b].weight) {
-      return edges[a].weight < edges[b].weight;
-    }
-    return a < b;
-  });
-
-  UnionFind uf(g.num_nodes());
-  for (int node = 1; node < num_contracted; ++node) uf.Union(0, node);
-  for (int idx : order) {
-    const Edge& e = edges[idx];
-    if (uf.Union(e.u, e.v)) {
-      result.edge_indices.push_back(idx);
-      result.total_weight += e.weight;
-      if (uf.num_sets() == 1) break;
-    }
-  }
-  result.spans_all = (g.num_nodes() <= 1) || (uf.num_sets() == 1);
-  return result;
-}
-
-SpanningForest PrimMst(const WeightedGraph& g, int root) {
-  TENET_CHECK(root >= 0 && root < g.num_nodes());
-  SpanningForest result;
-  std::vector<bool> in_tree(g.num_nodes(), false);
-
-  // (weight, edge_index, frontier_node)
-  using Item = std::tuple<double, int, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-
-  auto push_incident = [&](int node) {
+  // Every choice follows the strict key (weight, edge index); under it the
+  // minimum spanning forest is unique, so it is Kruskal's.
+  //
+  // The lightest crossing edge into each node outside the tree, and its
+  // weight (read from here, not through edges[], in the hot loops).
+  std::vector<int> best(n, -1);
+  std::vector<double> best_weight(n);
+  std::vector<char> in_tree(n, 0);
+  // True when `edge_index` (of `weight`) is lighter than node's best.
+  auto lighter_into = [&](int node, int edge_index, double weight) {
+    return best[node] < 0 || weight < best_weight[node] ||
+           (weight == best_weight[node] && edge_index < best[node]);
+  };
+  auto join = [&](int node) {
+    in_tree[node] = 1;
     for (int edge_index : g.IncidentEdges(node)) {
-      int other = g.OtherEndpoint(edge_index, node);
-      if (!in_tree[other]) {
-        heap.emplace(g.edges()[edge_index].weight, edge_index, other);
+      const double weight = edges[edge_index].weight;
+      if (weight > bound) continue;
+      const int other = g.OtherEndpoint(edge_index, node);
+      if (!in_tree[other] && lighter_into(other, edge_index, weight)) {
+        best[other] = edge_index;
+        best_weight[other] = weight;
       }
     }
   };
 
-  in_tree[root] = true;
-  int covered = 1;
-  push_incident(root);
-  while (!heap.empty()) {
-    auto [weight, edge_index, node] = heap.top();
-    heap.pop();
-    if (in_tree[node]) continue;
-    in_tree[node] = true;
-    ++covered;
-    result.edge_indices.push_back(edge_index);
-    result.total_weight += weight;
-    push_incident(node);
+  SpanningForest result;
+  int components = 0;
+  int next_unvisited = 0;
+  if (num_contracted > 0) {
+    for (int node = 0; node < num_contracted; ++node) join(node);
+    components = 1;
+    next_unvisited = num_contracted;
   }
-  result.spans_all = covered == g.num_nodes();
+  while (true) {
+    int pick = -1;
+    for (int node = next_unvisited; node < n; ++node) {
+      if (!in_tree[node] && best[node] >= 0 &&
+          (pick < 0 || lighter_into(pick, best[node], best_weight[node]))) {
+        pick = node;
+      }
+    }
+    if (pick >= 0) {
+      result.edge_indices.push_back(best[pick]);
+      join(pick);
+      continue;
+    }
+    // Nothing crosses: the current tree is done; root the next one at the
+    // lowest node not yet in the forest.
+    while (next_unvisited < n && in_tree[next_unvisited]) ++next_unvisited;
+    if (next_unvisited == n) break;
+    join(next_unvisited);
+    ++components;
+  }
+
+  // Kruskal emits the forest's edges in key order and sums them that way.
+  std::sort(result.edge_indices.begin(), result.edge_indices.end(),
+            [&edges](int a, int b) {
+              if (edges[a].weight != edges[b].weight) {
+                return edges[a].weight < edges[b].weight;
+              }
+              return a < b;
+            });
+  for (int edge_index : result.edge_indices) {
+    result.total_weight += edges[edge_index].weight;
+  }
+  result.spans_all = components <= 1;
   return result;
 }
 

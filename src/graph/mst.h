@@ -20,25 +20,25 @@ struct SpanningForest {
 };
 
 /// Kruskal's minimum spanning forest over the edges of weight <= `bound`.
-/// The paper deliberately uses Kruskal's order — cheapest edges globally
-/// first — so that low-confidence choices are forced to be consistent with
-/// confident ones (Sec. 4.2 discussion); the tree-cover solver and
-/// Algorithm 5 both rely on this edge ordering.  Ties are broken by edge
-/// index, making the result deterministic.
+/// The paper uses Kruskal's MST (Sec. 4.2).  Ties are broken by edge index:
+/// under the strict key (weight, edge index) the forest is unique, and
+/// edge_indices lists it in that key order — Kruskal's emission order —
+/// with total_weight summed in the same order.  The tree-cover solver's
+/// decomposition walks the edges in this order; Algorithm 5 sorts the
+/// cover's edges itself and does not rely on it.
 ///
-/// Nodes [0, num_contracted) start as one union-find set: the forest is
-/// then the MST of the graph with those nodes contracted into a single
-/// root — Algorithm 1 steps (a)-(c) on the coherence graph, whose mention
-/// nodes come first — and spans_all means it spans that contracted graph.
+/// Nodes [0, num_contracted) start as one root: the forest is then the MST
+/// of the graph with those nodes contracted into a single node — Algorithm 1
+/// steps (a)-(c) on the coherence graph, whose mention nodes come first —
+/// and spans_all means it spans that contracted graph.
+///
+/// Computed by an O(V^2 + E) Prim that always takes the lightest crossing
+/// edge under the same key, restarting at the lowest unreached node when
+/// nothing crosses; only the <= V-1 chosen edges are sorted.
 SpanningForest KruskalMst(
     const WeightedGraph& g,
     double bound = std::numeric_limits<double>::infinity(),
     int num_contracted = 0);
-
-/// Prim's minimum spanning tree grown from `root` over root's component.
-/// Provided for the Kruskal-vs-Prim ablation (see DESIGN.md §7); both
-/// algorithms yield a forest of equal total weight on the same component.
-SpanningForest PrimMst(const WeightedGraph& g, int root);
 
 }  // namespace graph
 }  // namespace tenet

@@ -8,7 +8,9 @@
 
 #include "core/canopy.h"
 #include "core/pipeline.h"
+#include "embedding/embedding_store.h"
 #include "figure_one_world.h"
+#include "kb/knowledge_base.h"
 #include "text/extraction.h"
 
 namespace tenet {
@@ -195,6 +197,104 @@ TEST(TreeCoverTest, IsolatedMentionsBecomeSingletons) {
   ASSERT_TRUE(cover.ok()) << cover.status();
   EXPECT_TRUE(cover->trees[april].edges.empty());
   EXPECT_EQ(cover->trees[april].nodes, std::vector<int>{april});
+}
+
+// Step (f) hands a carved subtree to a mention whose own tree was light and
+// never split.  Two mentions, entity distances 1 - cos on a unit circle:
+//   m0 "Alpha": P (prior .7, edge .3), Q1..Q3 (prior .1, edge .9 > B);
+//   m1 "Beta":  A (prior 1, edge 0);   d(A, P) = .35, d(A, Qi) = .4.
+// At B = .7 the MST hangs P off m0 (.3 < .35) and Q1..Q3 off A, so m0's
+// tree is {m0-P} (.3) and m1's is {m1-A, A-Q1, A-Q2, A-Q3} (1.2).  Splitting
+// m1's tree carves {A-Q1, A-Q2} (.8) and leaves {m1-A, A-Q3} (.4).  Both
+// mentions reach A within B (m0 via P at .65); the matching takes the
+// lower mention, m0, which gains the subtree plus the path edge P-A.
+TEST(TreeCoverTest, LightMentionGrowsByAMatchedSubtree) {
+  kb::KnowledgeBase kb;
+  const kb::EntityId p = kb.AddEntity("Pe", kb::EntityType::kOther, 0, 7.0);
+  std::vector<kb::EntityId> qs;
+  for (const char* label : {"Qu One", "Qu Two", "Qu Three"}) {
+    qs.push_back(kb.AddEntity(label, kb::EntityType::kOther, 0, 1.0));
+  }
+  const kb::EntityId a = kb.AddEntity("Beta", kb::EntityType::kOther, 0, 1.0);
+  kb.AddEntityAlias(p, "Alpha", 7.0);
+  for (kb::EntityId q : qs) kb.AddEntityAlias(q, "Alpha", 1.0);
+  kb.Finalize();
+  embedding::EmbeddingStore embeddings(2, kb.num_entities(), 0);
+  auto place = [&embeddings](kb::EntityId id, double cos) {
+    std::span<float> row = embeddings.MutableVector(kb::ConceptRef::Entity(id));
+    row[0] = static_cast<float>(cos);
+    row[1] = static_cast<float>(std::sqrt(1.0 - cos * cos));
+  };
+  place(a, 1.0);
+  place(p, 0.65);
+  for (kb::EntityId q : qs) place(q, 0.6);
+  embeddings.Finalize();
+
+  MentionSet set;
+  for (const char* surface : {"Alpha", "Beta"}) {
+    Mention mention;
+    mention.kind = Mention::Kind::kNoun;
+    mention.surface = surface;
+    mention.sentences = {0};
+    mention.group = set.num_groups();
+    const int id = set.num_mentions();
+    set.mentions.push_back(std::move(mention));
+    MentionGroup group;
+    group.members = {id};
+    group.short_mentions = {id};
+    group.canopies = {Canopy{{id}}};
+    set.groups.push_back(std::move(group));
+  }
+  CoherenceGraphBuilder builder(&kb, &embeddings);
+  CoherenceGraph cg = builder.Build(std::move(set));
+  ASSERT_EQ(cg.num_concept_nodes(), 5);
+  auto node_of = [&cg](kb::EntityId id) {
+    for (int node = cg.num_mentions(); node < cg.num_nodes(); ++node) {
+      if (cg.concept_node(node).ref.id == id) return node;
+    }
+    return -1;
+  };
+  const int np = node_of(p);
+  const int na = node_of(a);
+  const int nq1 = node_of(qs[0]);
+  const int nq2 = node_of(qs[1]);
+  const int nq3 = node_of(qs[2]);
+  // Equal weights tie-break by edge index, i.e. by candidate node order.
+  ASSERT_TRUE(nq1 < nq2 && nq2 < nq3);
+  const double w_mp = cg.graph().EdgeWeight(0, np, -1.0);
+  const double w_pa = cg.graph().EdgeWeight(np, na, -1.0);
+  const double w_aq = cg.graph().EdgeWeight(na, nq1, -1.0);
+  EXPECT_NEAR(w_mp, 0.3, 1e-6);
+  EXPECT_NEAR(w_pa, 0.35, 1e-6);
+  EXPECT_NEAR(w_aq, 0.4, 1e-6);
+  EXPECT_EQ(cg.graph().EdgeWeight(na, nq3, -1.0), w_aq);
+
+  TreeCoverSolver solver;
+  TreeCoverStats stats;
+  Result<TreeCover> cover = solver.Solve(cg, 0.7, &stats);
+  ASSERT_TRUE(cover.ok()) << cover.status();
+  EXPECT_EQ(stats.mst_edges, 5);
+  EXPECT_EQ(stats.subtrees, 1);
+  EXPECT_EQ(stats.matched_subtrees, 1);
+
+  auto pairs = [](const CoverTree& t) {
+    std::vector<std::pair<int, int>> out;
+    for (const graph::Edge& e : t.edges) out.emplace_back(e.u, e.v);
+    return out;
+  };
+  // m0: its own tree first, then the subtree, then the path edge P-A.
+  const CoverTree& grown = cover->trees[0];
+  EXPECT_EQ(grown.root, 0);
+  EXPECT_EQ(grown.nodes, (std::vector<int>{0, np, na, nq1, nq2}));
+  EXPECT_EQ(pairs(grown), (std::vector<std::pair<int, int>>{
+                              {0, np}, {na, nq1}, {na, nq2}, {np, na}}));
+  EXPECT_EQ(grown.weight, ((w_mp + w_aq) + w_aq) + w_pa);
+  // m1: the leftover of its split.
+  const CoverTree& leftover = cover->trees[1];
+  EXPECT_EQ(leftover.nodes, (std::vector<int>{1, na, nq3}));
+  EXPECT_EQ(pairs(leftover),
+            (std::vector<std::pair<int, int>>{{1, na}, {na, nq3}}));
+  EXPECT_EQ(leftover.weight, cg.graph().EdgeWeight(1, na, -1.0) + w_aq);
 }
 
 TEST(TreeCoverTest, MinimalBoundSearch) {
