@@ -1,12 +1,13 @@
 // google-benchmark micro-suite over the algorithmic kernels of TENET:
 // Kruskal MST, Hopcroft-Karp matching, tree splitting, Dijkstra, pairwise
 // similarity (scalar baseline vs the vectorized DotUnit kernel vs the
-// similarity cache), coherence graph construction, tree-cover solving and
-// greedy disambiguation.
+// similarity cache), text extraction, coherence graph construction,
+// tree-cover solving and greedy disambiguation.
 //
 // Besides the interactive google-benchmark suite, `--json <path>` runs a
 // hand-rolled deterministic measurement pass over the pairwise-similarity
-// kernels and writes {bench, ns_per_op, pairs_per_sec} records (the
+// kernels and text extraction and writes {bench, ns_per_op,
+// pairs_per_sec} records (the
 // BENCH_coherence.json trajectory CI archives); `--smoke` shortens the
 // repetitions for the tier-1 CI job.
 #include <benchmark/benchmark.h>
@@ -28,6 +29,7 @@
 #include "graph/dijkstra.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/mst.h"
+#include "kb/synthetic_kb.h"
 #include "json_out.h"
 #include "obs/metrics.h"
 #include "text/extraction.h"
@@ -280,6 +282,77 @@ core::CoherenceGraph BuildBenchGraph() {
   return builder.Build(std::move(mentions));
 }
 
+// Text extraction (Sec. 3 Steps 1-2) through the guarded front door, on
+// one document of each serving size: a clean_mix-sized one (~1.2 KB) on the
+// evaluation world and an MSNBC19-sized one (~3.8 KB) on the huge world.
+struct ExtractCase {
+  const char* name;
+  const text::Gazetteer* gazetteer;
+  std::string text;
+};
+
+const datasets::Document& ClosestInSize(
+    const std::vector<datasets::Document>& docs, size_t bytes) {
+  const datasets::Document* best = &docs.front();
+  for (const datasets::Document& d : docs) {
+    const size_t diff = d.text.size() > bytes ? d.text.size() - bytes
+                                              : bytes - d.text.size();
+    const size_t best_diff = best->text.size() > bytes
+                                 ? best->text.size() - bytes
+                                 : bytes - best->text.size();
+    if (diff < best_diff) best = &d;
+  }
+  return *best;
+}
+
+const std::vector<ExtractCase>& ExtractCases() {
+  static const std::vector<ExtractCase>* cases = [] {
+    const bench::Environment& env = bench::GetEnvironment();
+    std::vector<datasets::Document> clean;
+    for (const datasets::Dataset& d : env.datasets) {
+      clean.insert(clean.end(), d.documents.begin(), d.documents.end());
+    }
+    // The KB half of the huge serving world (datasets::BuildWorld's seed
+    // and fork); extraction never reads the embeddings.
+    Rng world_rng(2021);
+    Rng kb_rng = world_rng.Fork(1);
+    static const kb::SyntheticKb* huge = new kb::SyntheticKb(
+        kb::SyntheticKbGenerator(kb::SyntheticKbOptions::Huge())
+            .Generate(kb_rng));
+    datasets::DatasetSpec spec = datasets::Msnbc19Spec();
+    spec.num_docs = 16;
+    Rng corpus_rng(bench::kCorpusSeed);
+    datasets::Dataset huge_docs =
+        datasets::CorpusGenerator(huge).Generate(spec, corpus_rng);
+    return new std::vector<ExtractCase>{
+        {"clean_mix_doc", &env.world.gazetteer(),
+         ClosestInSize(clean, 1200).text},
+        {"msnbc19_huge_doc", &huge->gazetteer,
+         ClosestInSize(huge_docs.documents, 3800).text},
+    };
+  }();
+  return *cases;
+}
+
+size_t ExtractOnce(const ExtractCase& c, const text::Extractor& extractor) {
+  Result<text::ExtractionResult> r =
+      extractor.ExtractFromText(c.text, text::TextLimits(), nullptr);
+  return r.ok() ? r->mentions.size() + r->relations.size() : 0;
+}
+
+void BM_Extract(benchmark::State& state) {
+  const ExtractCase& c = ExtractCases()[state.range(0)];
+  text::Extractor extractor(c.gazetteer);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ExtractOnce(c, extractor));
+  }
+  state.SetLabel(std::string(c.name) + "/" + std::to_string(c.text.size()) +
+                 "B");
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(c.text.size()));
+}
+BENCHMARK(BM_Extract)->Arg(0)->Arg(1);
+
 void BM_CoherenceGraphBuild(benchmark::State& state) {
   const bench::Environment& env = bench::GetEnvironment();
   text::Extractor extractor(&env.world.gazetteer());
@@ -426,6 +499,18 @@ int RunJsonMode(const bench::JsonArgs& args) {
     records.push_back(MakeRecord(name, unit_ns, scalar_ns));
     std::printf("dot dim=%d: scalar %.1f ns, DotUnit %.1f ns (%.2fx)\n", dim,
                 scalar_ns, unit_ns, scalar_ns / unit_ns);
+  }
+
+  // Text extraction per document (pairs_per_sec is documents per second).
+  for (const ExtractCase& c : ExtractCases()) {
+    text::Extractor extractor(c.gazetteer);
+    const double ns = MeasureNsPerOp(
+        [&] { return static_cast<double>(ExtractOnce(c, extractor)); }, 1,
+        min_ms);
+    const std::string name = std::string("extract/") + c.name + "/bytes=" +
+                             std::to_string(c.text.size());
+    records.push_back(MakeRecord(name, ns));
+    std::printf("%s: %.1f us/doc\n", name.c_str(), ns / 1e3);
   }
 
   return bench::WriteJsonRecords(args.json_path, records) ? 0 : 1;

@@ -10,14 +10,6 @@ std::string AsciiToLower(std::string_view s) {
   return out;
 }
 
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (AsciiFoldChar(a[i]) != AsciiFoldChar(b[i])) return false;
-  }
-  return true;
-}
-
 std::vector<std::string> SplitString(std::string_view s, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

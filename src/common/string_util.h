@@ -2,6 +2,7 @@
 #define TENET_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,13 +45,83 @@ constexpr bool IsAsciiAlnumChar(char c) {
   return IsAsciiAlphaChar(c) || IsAsciiDigitChar(c);
 }
 
+// --- case-folding hash ------------------------------------------------------
+// The one hash of every case-insensitive table (the frozen alias dict, the
+// text lexicon, the gazetteer).  It folds 8 bytes per multiply with a SWAR
+// AsciiFoldChar, where a byte-serial FNV-1a pays ~4 cycles per byte.
+// Hashes are derived state, rebuilt on every build or load, never persisted.
+
+/// AsciiFoldChar on 8 bytes at once: +0x20 to every byte in ['A','Z'],
+/// every other byte (including >= 0x80) untouched.
+inline uint64_t FoldChunk8(uint64_t x) {
+  constexpr uint64_t kHigh = 0x8080808080808080ull;
+  const uint64_t heptets = x & ~kHigh;
+  const uint64_t ge_upper_a = heptets + 0x3f3f3f3f3f3f3f3full;  // >= 'A'
+  const uint64_t gt_upper_z = heptets + 0x2525252525252525ull;  // >  'Z'
+  const uint64_t is_upper = ge_upper_a & ~gt_upper_z & ~x & kHigh;
+  return x + (is_upper >> 2);
+}
+
+/// Hash of `data[0, len)` equal for every casing (that of its AsciiToLower
+/// form).  A non-null `folded_out` (capacity >= len rounded up to 8)
+/// receives the folded bytes zero-padded to a whole word, for word-wise
+/// confirms.
+inline uint64_t AsciiFoldHash(const char* data, size_t len,
+                              char* folded_out = nullptr) {
+  constexpr uint64_t kMul = 0x2545f4914f6cdd1dull;
+  uint64_t h = 0x9e3779b97f4a7c15ull ^ (static_cast<uint64_t>(len) * kMul);
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    uint64_t chunk;
+    std::memcpy(&chunk, data + i, 8);
+    chunk = FoldChunk8(chunk);
+    if (folded_out != nullptr) std::memcpy(folded_out + i, &chunk, 8);
+    h = (h ^ chunk) * kMul;
+  }
+  if (i < len) {
+    uint64_t chunk = 0;
+    std::memcpy(&chunk, data + i, len - i);
+    chunk = FoldChunk8(chunk);
+    if (folded_out != nullptr) std::memcpy(folded_out + i, &chunk, 8);
+    h = (h ^ chunk) * kMul;
+  }
+  // murmur3 finalizer
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 29;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 32;
+  return h;
+}
+
+/// Case-insensitive ASCII equality.
+inline bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (AsciiFoldChar(a[i]) != AsciiFoldChar(b[i])) return false;
+  }
+  return true;
+}
+
+/// Transparent functors for a hash map keyed by folded strings: a probe of
+/// any casing finds its key without a copy.
+struct AsciiFoldHasher {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return AsciiFoldHash(s.data(), s.size());
+  }
+};
+struct AsciiFoldEqual {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const {
+    return EqualsIgnoreCase(a, b);
+  }
+};
+
 /// Returns `s` with ASCII letters lower-cased (the alias index is
 /// case-insensitive, following the paper's Solr setup).  Locale-independent
 /// and byte-preserving outside [A-Z]; see AsciiFoldChar.
 std::string AsciiToLower(std::string_view s);
-
-/// Case-insensitive ASCII equality.
-bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// Splits on `sep`, dropping empty pieces.
 std::vector<std::string> SplitString(std::string_view s, char sep);

@@ -8,28 +8,12 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/utf8.h"
-#include "text/lemmatizer.h"
 #include "text/tokenizer.h"
 #include "text/wordlists.h"
 
 namespace tenet {
 namespace text {
 namespace {
-
-bool IsInPool(const std::vector<std::string_view>& pool,
-              std::string_view word) {
-  std::string lower = AsciiToLower(word);
-  return std::find(pool.begin(), pool.end(), lower) != pool.end();
-}
-
-bool IsPronoun(std::string_view word) { return IsInPool(Pronouns(), word); }
-
-// True when a capitalized sentence-initial token is merely a function word
-// ("The", "He", "During") rather than the start of a name.
-bool IsFunctionWord(std::string_view word) {
-  return IsInPool(Stopwords(), word) || IsInPool(Determiners(), word) ||
-         IsKnownVerbForm(word);
-}
 
 std::string JoinTokens(const TokenizedDocument& doc, int begin, int end) {
   std::string out;
@@ -139,6 +123,9 @@ Result<ExtractionResult> Extractor::ExtractFromText(
 ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
   ExtractionResult result;
   const int num_tokens = static_cast<int>(doc.tokens.size());
+  // Each token is probed in the lexicon once; passes 1, 3 and 4 read it.
+  std::vector<const LexEntry*> lex(num_tokens);
+  for (int t = 0; t < num_tokens; ++t) lex[t] = &LookupWord(doc.tokens[t].t);
   std::vector<bool> in_mention(num_tokens, false);
 
   // ---- Pass 1: capitalized-run mentions ---------------------------------
@@ -148,17 +135,19 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
     int i = sent_begin;
     while (i < sent_end) {
       const Token& tok = doc.tokens[i];
+      const LexEntry& word = *lex[i];
       bool starts_run = !tok.is_punct && IsCapitalized(tok.t);
-      if (starts_run && i == sent_begin && IsFunctionWord(tok.t)) {
+      if (starts_run && i == sent_begin &&
+          word.Has(kLexStopword | kLexDeterminer | kLexVerbForm)) {
         // Sentence-initial "The"/"He"/"During": only a name start when it is
         // a capitalized determiner directly followed by another capitalized
         // word ("The Storm ...").
         bool title_start =
-            IsInPool(Determiners(), tok.t) && i + 1 < sent_end &&
+            word.Has(kLexDeterminer) && i + 1 < sent_end &&
             !doc.tokens[i + 1].is_punct && IsCapitalized(doc.tokens[i + 1].t);
         if (!title_start) starts_run = false;
       }
-      if (starts_run && IsPronoun(tok.t)) starts_run = false;
+      if (starts_run && word.Has(kLexPronoun)) starts_run = false;
       if (!starts_run) {
         ++i;
         continue;
@@ -194,7 +183,11 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
   }
 
   // ---- Pass 2: lowercase gazetteer mentions (topics) --------------------
-  const int max_ngram = std::max(1, gazetteer_->max_lowercase_tokens());
+  // A token that starts no lowercase-mention surface costs one probe; else
+  // the window of clean tokens is joined once and probed longest first,
+  // dropping its last token after each miss (a Tokenize token is never
+  // empty and holds no space).
+  std::string window;
   for (int s = 0; s < doc.num_sentences(); ++s) {
     const int sent_begin = doc.sentence_begin[s];
     const int sent_end = doc.SentenceEnd(s);
@@ -205,36 +198,33 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
         ++i;
         continue;
       }
-      int matched_end = -1;
-      for (int n = std::min(max_ngram, sent_end - i); n >= 1; --n) {
-        int end = i + n;
-        bool clean = true;
-        for (int t = i; t < end; ++t) {
-          if (in_mention[t] || doc.tokens[t].is_punct) {
-            clean = false;
-            break;
-          }
-        }
-        if (!clean) continue;
-        std::string surface = JoinTokens(doc, i, end);
-        if (gazetteer_->IsLowercaseMention(surface)) {
-          matched_end = end;
-          break;  // longest match wins
-        }
+      const int max_ngram =
+          gazetteer_->LowercaseMentionTokens(doc.tokens[i].t);
+      int n = 0;
+      window.clear();
+      for (int t = i; n < std::min(max_ngram, sent_end - i) &&
+                      !in_mention[t] && !doc.tokens[t].is_punct;
+           ++t, ++n) {
+        if (!window.empty()) window += ' ';
+        window += doc.tokens[t].t;
       }
-      if (matched_end < 0) {
+      std::optional<kb::EntityType> type;
+      while (n > 0 && !(type = gazetteer_->LowercaseMentionType(window))) {
+        if (--n > 0) window.resize(window.rfind(' '));
+      }
+      if (n == 0) {
         ++i;
         continue;
       }
       ShortMention mention;
-      mention.surface = JoinTokens(doc, i, matched_end);
-      mention.type = gazetteer_->LookupType(mention.surface);
+      mention.surface = window;
+      mention.type = type;
       mention.sentence = s;
       mention.token_begin = i;
-      mention.token_end = matched_end;
-      for (int t = i; t < matched_end; ++t) in_mention[t] = true;
+      mention.token_end = i + n;
+      for (int t = i; t < i + n; ++t) in_mention[t] = true;
       result.mentions.push_back(std::move(mention));
-      i = matched_end;
+      i += n;
     }
   }
 
@@ -249,10 +239,6 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
   // only when a verb (+ optional particle) lies between two anchors of the
   // same sentence, mirroring the paper's "relational phrases that connect
   // two noun phrases in a triple".
-  std::vector<bool> is_anchor_token(num_tokens, false);
-  for (const ShortMention& m : result.mentions) {
-    for (int t = m.token_begin; t < m.token_end; ++t) is_anchor_token[t] = true;
-  }
   bool seen_person_before = false;  // any prior person/org mention to bind a pronoun
   int mention_cursor = 0;
   for (int s = 0; s < doc.num_sentences(); ++s) {
@@ -270,43 +256,38 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
       }
       ++mention_cursor;
     }
+    // A phrase at [i, end) has a left anchor when the sentence's first
+    // mention token or bound pronoun lies before i — a pronoun binds to a
+    // previous sentence's subject — and a right anchor when its last
+    // mention token lies at or after end.
+    int first_left = sent_end;
+    int last_anchor = -1;
+    for (int t = sent_begin; t < sent_end; ++t) {
+      if (in_mention[t]) {
+        if (first_left == sent_end) first_left = t;
+        last_anchor = t;
+      } else if (first_left == sent_end && seen_person_before &&
+                 !doc.tokens[t].is_punct && lex[t]->Has(kLexPronoun)) {
+        first_left = t;
+      }
+    }
     for (int i = sent_begin; i < sent_end; ++i) {
       const Token& tok = doc.tokens[i];
       if (tok.is_punct || in_mention[i]) continue;
-      if (!IsKnownVerbForm(tok.t) || IsCapitalized(tok.t)) continue;
+      const VerbForms* verb = lex[i]->verb;
+      if (verb == nullptr || IsCapitalized(tok.t)) continue;
 
       int end = i + 1;
       if (end < sent_end && !doc.tokens[end].is_punct &&
-          IsInPool(VerbParticles(), doc.tokens[end].t) && !in_mention[end]) {
+          lex[end]->Has(kLexParticle) && !in_mention[end]) {
         ++end;
       }
-      // Left anchor: a mention token or pronoun earlier in the sentence, or
-      // a pronoun resolved from a previous sentence's subject.
-      bool left_anchor = false;
-      for (int t = sent_begin; t < i; ++t) {
-        if (is_anchor_token[t]) {
-          left_anchor = true;
-          break;
-        }
-        if (!doc.tokens[t].is_punct && IsPronoun(doc.tokens[t].t) &&
-            seen_person_before) {
-          left_anchor = true;
-          break;
-        }
-      }
-      // Right anchor: a mention token after the phrase in the same sentence.
-      bool right_anchor = false;
-      for (int t = end; t < sent_end; ++t) {
-        if (is_anchor_token[t]) {
-          right_anchor = true;
-          break;
-        }
-      }
-      if (!left_anchor || !right_anchor) continue;
+      if (first_left >= i || last_anchor < end) continue;
 
       ExtractedRelation rel;
       rel.raw = JoinTokens(doc, i, end);
-      rel.lemma = LemmatizeRelationalPhrase(rel.raw);
+      rel.lemma = verb->lemma;  // + the particle, as listed
+      if (end - i == 2) rel.lemma.append(" ").append(lex[i + 1]->word);
       rel.sentence = s;
       rel.token_begin = i;
       rel.token_end = end;
@@ -316,17 +297,19 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
   }
 
   // ---- Pass 4: feature links between adjacent mentions -------------------
+  // Only a one- or two-token gap can hold a connector.
   result.link_after.assign(result.mentions.size(), std::nullopt);
   for (size_t m = 0; m + 1 < result.mentions.size(); ++m) {
     const ShortMention& left = result.mentions[m];
     const ShortMention& right = result.mentions[m + 1];
     if (left.sentence != right.sentence) continue;
-    if (left.token_end > right.token_begin) continue;  // overlap safety
-    std::vector<std::string> gap;
-    for (int t = left.token_end; t < right.token_begin; ++t) {
-      gap.push_back(doc.tokens[t].t);
+    const int t = left.token_end;
+    if (right.token_begin - t == 1) {
+      result.link_after[m] = ClassifyConnector({doc.tokens[t].t});
+    } else if (right.token_begin - t == 2) {
+      result.link_after[m] =
+          ClassifyConnector({doc.tokens[t].t, doc.tokens[t + 1].t});
     }
-    result.link_after[m] = ClassifyConnector(gap);
   }
   return result;
 }

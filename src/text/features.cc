@@ -1,46 +1,37 @@
 #include "text/features.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 #include "text/wordlists.h"
 
 namespace tenet {
 namespace text {
-namespace {
-
-bool IsIn(const std::vector<std::string_view>& pool, std::string_view word) {
-  std::string lower = AsciiToLower(word);
-  return std::find(pool.begin(), pool.end(), lower) != pool.end();
-}
-
-}  // namespace
 
 std::optional<Connector> ClassifyConnector(
-    const std::vector<std::string>& gap) {
-  if (gap.empty() || gap.size() > 2) return std::nullopt;
-
-  if (gap.size() == 1) {
-    const std::string& w = gap[0];
-    if (IsIn(CoordinatingConjunctions(), w)) {
-      return Connector{ConnectorKind::kConjunction, AsciiToLower(w)};
+    std::initializer_list<std::string_view> gap) {
+  const std::string_view* w = gap.begin();
+  if (gap.size() == 2) {  // preposition + determiner ("on the", "of the")
+    const LexEntry& first = LookupWord(w[0]);
+    const LexEntry& second = LookupWord(w[1]);
+    if (!first.Has(kLexPreposition) || !second.Has(kLexDeterminer)) {
+      return std::nullopt;
     }
-    if (IsIn(Prepositions(), w)) {
-      return Connector{ConnectorKind::kPreposition, AsciiToLower(w)};
-    }
-    if (IsNumberWord(w)) {
-      return Connector{ConnectorKind::kNumber, w};
-    }
-    if (IsIn(ConnectorPunctuation(), w)) {
-      return Connector{ConnectorKind::kPunctuation, w};
-    }
-    return std::nullopt;
-  }
-
-  // Two tokens: preposition + determiner ("on the", "of the").
-  if (IsIn(Prepositions(), gap[0]) && IsIn(Determiners(), gap[1])) {
     return Connector{ConnectorKind::kPreposition,
-                     AsciiToLower(gap[0]) + " " + AsciiToLower(gap[1])};
+                     std::string(first.word) + " " + std::string(second.word)};
+  }
+  if (gap.size() != 1) return std::nullopt;
+  // Conjunctions and prepositions join as their listed (folded) form.
+  const LexEntry& lex = LookupWord(w[0]);
+  if (lex.Has(kLexConjunction)) {
+    return Connector{ConnectorKind::kConjunction, std::string(lex.word)};
+  }
+  if (lex.Has(kLexPreposition)) {
+    return Connector{ConnectorKind::kPreposition, std::string(lex.word)};
+  }
+  if (IsAsciiNumber(w[0])) {
+    return Connector{ConnectorKind::kNumber, std::string(w[0])};
+  }
+  if (lex.Has(kLexConnectorPunct)) {
+    return Connector{ConnectorKind::kPunctuation, std::string(w[0])};
   }
   return std::nullopt;
 }

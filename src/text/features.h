@@ -1,9 +1,10 @@
 #ifndef TENET_TEXT_FEATURES_H_
 #define TENET_TEXT_FEATURES_H_
 
+#include <initializer_list>
 #include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace tenet {
 namespace text {
@@ -31,7 +32,7 @@ struct Connector {
 /// followed by a determiner ("of", "on the"); a single number; a single
 /// connector punctuation mark.  Gaps longer than 2 tokens never connect.
 std::optional<Connector> ClassifyConnector(
-    const std::vector<std::string>& gap_tokens);
+    std::initializer_list<std::string_view> gap_tokens);
 
 }  // namespace text
 }  // namespace tenet

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "kb/types.h"
 
 namespace tenet {
@@ -36,9 +37,14 @@ class Gazetteer {
   /// True when `surface` may be spotted in lowercase text.
   bool IsLowercaseMention(std::string_view surface) const;
 
-  /// Longest registered lowercase-mention phrase, in whitespace tokens;
-  /// bounds the n-gram scan of the extractor.
-  int max_lowercase_tokens() const { return max_lowercase_tokens_; }
+  /// NER type of `surface` when it may be spotted in lowercase text;
+  /// nullopt when unknown or capitalized-only.
+  std::optional<kb::EntityType> LowercaseMentionType(
+      std::string_view surface) const;
+
+  /// Most tokens of a lowercase-mention surface starting with `first_token`
+  /// (0 when none does): the extractor's one-probe window reject and bound.
+  int LowercaseMentionTokens(std::string_view first_token) const;
 
   size_t size() const { return entries_.size(); }
 
@@ -47,8 +53,12 @@ class Gazetteer {
     kb::EntityType type;
     bool lowercase_mention;
   };
-  std::unordered_map<std::string, Entry> entries_;
-  int max_lowercase_tokens_ = 0;
+  // Keys are stored folded; a lookup folds its probe on the fly.
+  template <typename V>
+  using FoldedMap =
+      std::unordered_map<std::string, V, AsciiFoldHasher, AsciiFoldEqual>;
+  FoldedMap<Entry> entries_;
+  FoldedMap<int> lowercase_heads_;  // first token -> most tokens
 };
 
 }  // namespace text

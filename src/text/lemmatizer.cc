@@ -7,11 +7,9 @@ namespace tenet {
 namespace text {
 
 std::string LemmatizeVerb(std::string_view word) {
-  std::string lower = AsciiToLower(word);
-  if (const VerbForms* v = FindVerbByAnyForm(lower)) {
-    return std::string(v->lemma);
-  }
+  if (const VerbForms* v = LookupWord(word).verb) return std::string(v->lemma);
   // Fallback suffix rules for verbs outside the table.
+  std::string lower = AsciiToLower(word);
   auto ends = [&lower](std::string_view suffix) {
     return EndsWith(lower, suffix) && lower.size() > suffix.size() + 1;
   };
@@ -42,19 +40,8 @@ std::string LemmatizeVerb(std::string_view word) {
   return lower;
 }
 
-std::string LemmatizeRelationalPhrase(std::string_view phrase) {
-  std::vector<std::string> words = SplitString(phrase, ' ');
-  if (words.empty()) return "";
-  std::string out = LemmatizeVerb(words[0]);
-  for (size_t i = 1; i < words.size(); ++i) {
-    out += ' ';
-    out += AsciiToLower(words[i]);
-  }
-  return out;
-}
-
 bool IsKnownVerbForm(std::string_view word) {
-  return FindVerbByAnyForm(AsciiToLower(word)) != nullptr;
+  return LookupWord(word).verb != nullptr;
 }
 
 }  // namespace text

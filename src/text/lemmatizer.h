@@ -8,15 +8,10 @@ namespace tenet {
 namespace text {
 
 // Rule + table-based verb lemmatizer (the NLTK WordNet-lemmatizer stand-in
-// used on relational phrases, Sec. 6.1).  Irregular forms resolve through
-// the wordlists verb table; unknown words fall back to suffix-stripping
+// used on relational phrases, Sec. 6.1).  Listed forms resolve through the
+// frozen lexicon (wordlists.h); unknown words fall back to suffix-stripping
 // rules (-ies -> -y, -ed, -es, -s, -ing).  Always lower-cases.
 std::string LemmatizeVerb(std::string_view word);
-
-/// Lemmatizes a possibly multi-word relational phrase: the first word is
-/// lemmatized as a verb, trailing particles are kept verbatim
-/// ("worked at" -> "work at").
-std::string LemmatizeRelationalPhrase(std::string_view phrase);
 
 /// True when `word` (any inflection, case-insensitive) is a known verb.
 bool IsKnownVerbForm(std::string_view word);

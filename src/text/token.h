@@ -11,7 +11,6 @@ namespace text {
 struct Token {
   std::string t;          // the token text, original casing
   int sentence = 0;       // 0-based sentence index
-  int index = 0;          // 0-based position within the whole document
   bool is_punct = false;  // true for punctuation tokens (".", ":", ...)
 };
 

@@ -74,12 +74,7 @@ TokenizedDocument TokenizeImpl(std::string_view s, const TextLimits* limits,
       doc.sentence_begin.push_back(static_cast<int>(doc.tokens.size()));
       sentence_open = true;
     }
-    Token t;
-    t.t = std::move(token_text);
-    t.sentence = sentence;
-    t.index = static_cast<int>(doc.tokens.size());
-    t.is_punct = is_punct;
-    doc.tokens.push_back(std::move(t));
+    doc.tokens.push_back(Token{std::move(token_text), sentence, is_punct});
     return true;
   };
 

@@ -1,7 +1,10 @@
 #include "text/wordlists.h"
 
+#include <algorithm>
 #include <unordered_map>
+#include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace tenet {
@@ -111,30 +114,24 @@ const std::vector<std::string_view> kVerbParticles = {
     "at", "in", "with", "for", "to",
 };
 
-const std::vector<std::string_view> kCoordinatingConjunctions = {
-    "and", "or",
-};
-
-const std::vector<std::string_view> kPrepositions = {
-    "of", "on", "in", "at", "for", "from", "by", "with", "under", "over",
-};
-
-const std::vector<std::string_view> kConnectorPunctuation = {":", "-"};
-
-const std::vector<std::string_view> kDeterminers = {
-    "the", "a", "an", "this", "that", "its", "his", "her", "their",
-};
-
-const std::vector<std::string_view> kStopwords = {
-    "the", "a", "an", "of", "on", "in", "at", "for", "from", "by", "with",
-    "under", "over", "and", "or", "to", "as", "is", "are", "was", "were",
-    "be", "been", "he", "she", "it", "they", "him", "her", "them", "his",
-    "its", "their", "this", "that", "also", "more", "than", "during",
-    "after", "before", "new", "first", "last", "year", "years",
-};
-
-const std::vector<std::string_view> kPronouns = {
-    "he", "she", "it", "they", "him", "her", "them",
+// The closed-class words of the grammar, by lexicon class: the Sec. 5.1
+// connectors (numbers are recognized by shape), the function words the
+// chunker skips, and the pronouns the coreference canonicalizer resolves.
+const std::vector<std::pair<LexClass, std::vector<std::string_view>>>
+    kClosedClasses = {
+    {kLexConjunction, {"and", "or"}},
+    {kLexPreposition,
+     {"of", "on", "in", "at", "for", "from", "by", "with", "under", "over"}},
+    {kLexConnectorPunct, {":", "-"}},
+    {kLexDeterminer,
+     {"the", "a", "an", "this", "that", "its", "his", "her", "their"}},
+    {kLexStopword,
+     {"the", "a", "an", "of", "on", "in", "at", "for", "from", "by", "with",
+      "under", "over", "and", "or", "to", "as", "is", "are", "was", "were",
+      "be", "been", "he", "she", "it", "they", "him", "her", "them", "his",
+      "its", "their", "this", "that", "also", "more", "than", "during",
+      "after", "before", "new", "first", "last", "year", "years"}},
+    {kLexPronoun, {"he", "she", "it", "they", "him", "her", "them"}},
 };
 
 const std::vector<std::string_view> kPersonFirstNames = {
@@ -209,6 +206,39 @@ const std::vector<std::string_view> kEventHeads = {
 };
 // clang-format on
 
+struct Lexicon {
+  std::unordered_map<std::string_view, LexEntry, AsciiFoldHasher,
+                     AsciiFoldEqual>
+      words;
+  size_t max_len = 0;
+};
+
+// Every listed word (all lower case) with its class bits and verb row.
+Lexicon BuildLexicon() {
+  Lexicon lex;
+  auto add = [&lex](std::string_view word, uint16_t cls,
+                    const VerbForms* verb) {
+    LexEntry& e = lex.words[word];
+    e.word = word;
+    e.classes |= cls;
+    // A form shared by two rows would make the lemma order-dependent.
+    TENET_CHECK(verb == nullptr || e.verb == nullptr || e.verb == verb)
+        << word;
+    if (verb != nullptr) e.verb = verb;
+    lex.max_len = std::max(lex.max_len, word.size());
+  };
+  for (const auto& [cls, words] : kClosedClasses) {
+    for (std::string_view w : words) add(w, cls, nullptr);
+  }
+  for (std::string_view w : kVerbParticles) add(w, kLexParticle, nullptr);
+  for (const VerbForms& v : kVerbs) {
+    for (std::string_view form : {v.lemma, v.past, v.third, v.gerund}) {
+      add(form, kLexVerbForm, &v);
+    }
+  }
+  return lex;
+}
+
 }  // namespace
 
 const std::vector<VerbForms>& Verbs() { return kVerbs; }
@@ -222,24 +252,6 @@ const std::vector<std::string_view>& NonKbVerbLemmas() {
 }
 
 const std::vector<std::string_view>& VerbParticles() { return kVerbParticles; }
-
-const std::vector<std::string_view>& CoordinatingConjunctions() {
-  return kCoordinatingConjunctions;
-}
-
-const std::vector<std::string_view>& Prepositions() { return kPrepositions; }
-
-bool IsNumberWord(std::string_view word) { return IsAsciiNumber(word); }
-
-const std::vector<std::string_view>& ConnectorPunctuation() {
-  return kConnectorPunctuation;
-}
-
-const std::vector<std::string_view>& Determiners() { return kDeterminers; }
-
-const std::vector<std::string_view>& Stopwords() { return kStopwords; }
-
-const std::vector<std::string_view>& Pronouns() { return kPronouns; }
 
 const std::vector<std::string_view>& PersonFirstNames() {
   return kPersonFirstNames;
@@ -265,21 +277,17 @@ const std::vector<std::string_view>& TopicNouns() { return kTopicNouns; }
 const std::vector<std::string_view>& ProductHeads() { return kProductHeads; }
 const std::vector<std::string_view>& EventHeads() { return kEventHeads; }
 
-const VerbForms* FindVerbByLemma(std::string_view lemma) {
-  for (const VerbForms& v : kVerbs) {
-    if (v.lemma == lemma) return &v;
-  }
-  return nullptr;
+const LexEntry& LookupWord(std::string_view word) {
+  static const Lexicon* lexicon = new Lexicon(BuildLexicon());
+  static const LexEntry kMiss{};
+  if (word.size() > lexicon->max_len) return kMiss;  // before any hashing
+  auto it = lexicon->words.find(word);
+  return it == lexicon->words.end() ? kMiss : it->second;
 }
 
-const VerbForms* FindVerbByAnyForm(std::string_view form) {
-  for (const VerbForms& v : kVerbs) {
-    if (v.lemma == form || v.past == form || v.third == form ||
-        v.gerund == form) {
-      return &v;
-    }
-  }
-  return nullptr;
+const VerbForms* FindVerbByLemma(std::string_view lemma) {
+  const VerbForms* v = LookupWord(lemma).verb;
+  return v != nullptr && v->lemma == lemma ? v : nullptr;
 }
 
 }  // namespace text

@@ -1,6 +1,7 @@
 #ifndef TENET_TEXT_WORDLISTS_H_
 #define TENET_TEXT_WORDLISTS_H_
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -40,23 +41,33 @@ const std::vector<std::string_view>& NonKbVerbLemmas();
 /// Particles/prepositions that may follow a verb in a relational phrase.
 const std::vector<std::string_view>& VerbParticles();
 
-// The four linguistic feature classes of Sec. 5.1 (connectors that join
-// short-text mentions into long-text mentions).
-const std::vector<std::string_view>& CoordinatingConjunctions();  // "and"
-const std::vector<std::string_view>& Prepositions();  // "of", "on the", ...
-/// True when `word` is an ASCII number word usable as a connector ("11").
-bool IsNumberWord(std::string_view word);
-/// Punctuation characters that act as mention connectors (":", "-").
-const std::vector<std::string_view>& ConnectorPunctuation();
+// ---- The frozen lexicon --------------------------------------------------
+// One immutable hash from every function word, connector and verb form of
+// the grammar to its class bits and verb row, built on first use.
 
-/// Determiners that may prefix a mention ("the", "a").
-const std::vector<std::string_view>& Determiners();
+// Class bits of a lexicon word; a word may carry several ("her").
+enum LexClass : uint16_t {
+  kLexStopword = 1u << 0,        // function word ignored by the chunker
+  kLexDeterminer = 1u << 1,      // may prefix a mention ("the", "a")
+  kLexPronoun = 1u << 2,         // resolved by coreference
+  kLexParticle = 1u << 3,        // may follow a verb ("work at")
+  kLexConjunction = 1u << 4,     // Sec. 5.1 connector "and"
+  kLexPreposition = 1u << 5,     // Sec. 5.1 connector "of", "on", ...
+  kLexConnectorPunct = 1u << 6,  // Sec. 5.1 connector ":", "-"
+  kLexVerbForm = 1u << 7,        // any inflection of a Verbs() row
+};
 
-/// Common function words ignored by the chunker.
-const std::vector<std::string_view>& Stopwords();
+struct LexEntry {
+  std::string_view word;            // as listed (lower case); empty on a miss
+  const VerbForms* verb = nullptr;  // the row `word` inflects, if any
+  uint16_t classes = 0;             // LexClass bits
 
-/// Third-person pronouns resolved by the coreference canonicalizer.
-const std::vector<std::string_view>& Pronouns();
+  bool Has(uint16_t mask) const { return (classes & mask) != 0; }
+};
+
+/// The entry of `word` under the ASCII case fold (AsciiFoldHash, no
+/// lowercase copy); on a miss, a static entry with no class bits.
+const LexEntry& LookupWord(std::string_view word);
 
 // ---- Name-generation pools (synthetic KB only) ---------------------------
 
@@ -74,9 +85,6 @@ const std::vector<std::string_view>& EventHeads();
 
 /// Looks up the inflection row of `lemma`; nullptr when unknown.
 const VerbForms* FindVerbByLemma(std::string_view lemma);
-
-/// Finds the row for which `form` is any inflection; nullptr when unknown.
-const VerbForms* FindVerbByAnyForm(std::string_view form);
 
 }  // namespace text
 }  // namespace tenet

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 namespace tenet {
 namespace text {
 namespace {
@@ -26,6 +29,67 @@ std::vector<std::string> Surfaces(const ExtractionResult& r) {
   std::vector<std::string> out;
   for (const ShortMention& m : r.mentions) out.push_back(m.surface);
   return out;
+}
+
+bool SameExtraction(const ExtractionResult& a, const ExtractionResult& b) {
+  if (a.mentions.size() != b.mentions.size() ||
+      a.link_after.size() != b.link_after.size() ||
+      a.relations.size() != b.relations.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.mentions.size(); ++i) {
+    const ShortMention& x = a.mentions[i];
+    const ShortMention& y = b.mentions[i];
+    if (x.surface != y.surface || x.type != y.type ||
+        x.sentence != y.sentence || x.token_begin != y.token_begin ||
+        x.token_end != y.token_end) {
+      return false;
+    }
+    if (a.link_after[i].has_value() != b.link_after[i].has_value()) {
+      return false;
+    }
+    if (a.link_after[i].has_value() &&
+        (a.link_after[i]->kind != b.link_after[i]->kind ||
+         a.link_after[i]->joining_text != b.link_after[i]->joining_text)) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.relations.size(); ++i) {
+    const ExtractedRelation& x = a.relations[i];
+    const ExtractedRelation& y = b.relations[i];
+    if (x.lemma != y.lemma || x.raw != y.raw || x.sentence != y.sentence ||
+        x.token_begin != y.token_begin || x.token_end != y.token_end) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// First in this file so the threads are the lexicon's first users: serving
+// workers race to its lazily built static, and every one must see it whole.
+TEST(ExtractionTest, ConcurrentFirstUseMatchesSerial) {
+  Gazetteer g = BuildGazetteer();
+  Extractor extractor(&g);
+  const std::string text =
+      "The Storm on the Sea of Galilee was painted by Rembrandt. "
+      "He WORKED AT Brooklyn with Michael Jordan and the AAAS: Fellow.";
+  constexpr int kThreads = 4;
+  std::vector<ExtractionResult> results(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      results[t] = extractor.ExtractFromText(text);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+  const ExtractionResult serial = extractor.ExtractFromText(text);
+  EXPECT_FALSE(serial.relations.empty());
+  for (const ExtractionResult& r : results) {
+    EXPECT_TRUE(SameExtraction(r, serial));
+  }
 }
 
 TEST(ExtractionTest, PaperFigureOneDocument) {

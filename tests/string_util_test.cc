@@ -1,6 +1,9 @@
 #include "common/string_util.h"
 
+#include <cstring>
 #include <ios>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -153,6 +156,46 @@ TEST(StringUtilTest, AsciiToLowerPreservesHighBitBytes) {
   // 0xC3 vs 0xE3 differ by the case bit but are not ASCII letters: they
   // must NOT compare equal (the classic tolower-on-high-bit bug).
   EXPECT_FALSE(EqualsIgnoreCase("\xC3", "\xE3"));
+}
+
+// The SWAR fold is AsciiFoldChar in every lane, for every byte value and
+// regardless of its neighbours, so AsciiFoldHash keeps the same contract.
+TEST(StringUtilTest, FoldChunk8IsAsciiFoldCharPerByte) {
+  for (int b = 0; b < 256; ++b) {
+    for (int lane = 0; lane < 8; ++lane) {
+      for (int fill : {0x00, 0x41, 0x7A, 0x80, 0xC1, 0xFF}) {
+        unsigned char bytes[8];
+        std::memset(bytes, fill, sizeof(bytes));
+        bytes[lane] = static_cast<unsigned char>(b);
+        uint64_t word;
+        std::memcpy(&word, bytes, 8);
+        const uint64_t folded = FoldChunk8(word);
+        unsigned char out[8];
+        std::memcpy(out, &folded, 8);
+        for (int k = 0; k < 8; ++k) {
+          ASSERT_EQ(static_cast<char>(out[k]),
+                    AsciiFoldChar(static_cast<char>(bytes[k])))
+              << "byte " << b << " lane " << lane << " fill " << fill;
+        }
+      }
+    }
+  }
+}
+
+TEST(StringUtilTest, AsciiFoldHashIgnoresAsciiCaseOnly) {
+  for (std::string_view s :
+       {"", "a", "Brooklyn", "THE STORM ON THE SEA OF GALILEE",
+        "caf\xC3\xA9 Noir 11", "\xC1\xC2\xC3\xD4\xC8\xC5" " exactly 16 bytes"}) {
+    const std::string lower = AsciiToLower(s);
+    EXPECT_EQ(AsciiFoldHash(s.data(), s.size()),
+              AsciiFoldHash(lower.data(), lower.size()))
+        << s;
+    char folded[64];
+    AsciiFoldHash(s.data(), s.size(), folded);
+    EXPECT_EQ(std::string_view(folded, s.size()), lower) << s;
+  }
+  EXPECT_NE(AsciiFoldHash("the", 3), AsciiFoldHash("\xD4\xC8\xC5", 3));
+  EXPECT_NE(AsciiFoldHash("ab", 2), AsciiFoldHash("ab\0", 3));
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Tests for the NLP substrate: tokenizer, lemmatizer, features, gazetteer.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "common/string_util.h"
 #include "text/features.h"
 #include "text/gazetteer.h"
@@ -134,13 +138,6 @@ TEST(LemmatizerTest, LemmaIsFixpoint) {
   }
 }
 
-TEST(LemmatizerTest, RelationalPhraseKeepsParticle) {
-  EXPECT_EQ(LemmatizeRelationalPhrase("worked at"), "work at");
-  EXPECT_EQ(LemmatizeRelationalPhrase("lives in"), "live in");
-  EXPECT_EQ(LemmatizeRelationalPhrase("visited"), "visit");
-  EXPECT_EQ(LemmatizeRelationalPhrase(""), "");
-}
-
 TEST(LemmatizerTest, KnownVerbForms) {
   EXPECT_TRUE(IsKnownVerbForm("painted"));
   EXPECT_TRUE(IsKnownVerbForm("Paints"));
@@ -195,6 +192,113 @@ TEST(FeaturesTest, NonConnectors) {
   EXPECT_FALSE(ClassifyConnector({","}).has_value());
 }
 
+// ---- Frozen lexicon -------------------------------------------------------
+
+// The closed-class grammar the lexicon is built from, restated as the spec.
+struct PoolSpec {
+  uint16_t bit;
+  std::vector<std::string_view> words;
+};
+
+const std::vector<PoolSpec>& ClosedClassPools() {
+  static const std::vector<PoolSpec>* pools = new std::vector<PoolSpec>{
+      {kLexStopword,
+       {"the", "a", "an", "of", "on", "in", "at", "for", "from", "by", "with",
+        "under", "over", "and", "or", "to", "as", "is", "are", "was", "were",
+        "be", "been", "he", "she", "it", "they", "him", "her", "them", "his",
+        "its", "their", "this", "that", "also", "more", "than", "during",
+        "after", "before", "new", "first", "last", "year", "years"}},
+      {kLexDeterminer,
+       {"the", "a", "an", "this", "that", "its", "his", "her", "their"}},
+      {kLexPronoun, {"he", "she", "it", "they", "him", "her", "them"}},
+      {kLexParticle, {"at", "in", "with", "for", "to"}},
+      {kLexConjunction, {"and", "or"}},
+      {kLexPreposition,
+       {"of", "on", "in", "at", "for", "from", "by", "with", "under", "over"}},
+      {kLexConnectorPunct, {":", "-"}},
+  };
+  return *pools;
+}
+
+std::string Upper(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+  }
+  return out;
+}
+
+std::string Capitalized(std::string_view s) {
+  std::string out(s);
+  if (!out.empty() && out[0] >= 'a' && out[0] <= 'z') {
+    out[0] = static_cast<char>(out[0] - 'a' + 'A');
+  }
+  return out;
+}
+
+TEST(LexiconTest, PoolWordsHaveExactlyTheirClassBits) {
+  std::unordered_map<std::string_view, uint16_t> expected;
+  for (const PoolSpec& pool : ClosedClassPools()) {
+    for (std::string_view w : pool.words) expected[w] |= pool.bit;
+  }
+  for (const VerbForms& v : Verbs()) {
+    for (std::string_view form : {v.lemma, v.past, v.third, v.gerund}) {
+      if (expected.count(form) > 0) expected[form] |= kLexVerbForm;
+    }
+  }
+  for (const auto& [word, bits] : expected) {
+    for (const std::string& probe :
+         {std::string(word), Upper(word), Capitalized(word)}) {
+      const LexEntry& e = LookupWord(probe);
+      EXPECT_EQ(e.classes, bits) << probe;
+      EXPECT_EQ(e.word, word) << probe;
+    }
+  }
+  EXPECT_EQ(LookupWord("her").classes,
+            kLexStopword | kLexDeterminer | kLexPronoun);
+}
+
+TEST(LexiconTest, EveryVerbFormMapsToItsOwnRow) {
+  for (const VerbForms& v : Verbs()) {
+    for (std::string_view form : {v.lemma, v.past, v.third, v.gerund}) {
+      for (const std::string& probe :
+           {std::string(form), Upper(form), Capitalized(form)}) {
+        const LexEntry& e = LookupWord(probe);
+        EXPECT_EQ(e.verb, &v) << probe;
+        EXPECT_TRUE(e.Has(kLexVerbForm)) << probe;
+      }
+    }
+  }
+}
+
+TEST(LexiconTest, Misses) {
+  std::string_view longest;
+  for (const PoolSpec& pool : ClosedClassPools()) {
+    for (std::string_view w : pool.words) {
+      if (w.size() > longest.size()) longest = w;
+    }
+  }
+  for (const VerbForms& v : Verbs()) {
+    for (std::string_view form : {v.lemma, v.past, v.third, v.gerund}) {
+      if (form.size() > longest.size()) longest = form;
+    }
+  }
+  // One byte over the longest entry: rejected before any hashing.
+  const std::string one_over = std::string(longest) + "s";
+  for (const std::string& probe : std::vector<std::string>{
+           "", one_over, Upper(one_over), std::string(300, 'a'),
+           "caf\xC3\xA9", "th\xC3\xA9", "the\x80",
+           // "THE" with the high bit set on every byte: a fold that ignored
+           // the high bit would turn it into "the".
+           "\xD4\xC8\xC5", "\xC1\xCE\xC4", ",", ".", ";", "!", "?",
+           "(", ")", "\"", "'", "/", "--", "::", "quickly", "Rembrandt"}) {
+    const LexEntry& e = LookupWord(probe);
+    EXPECT_EQ(e.classes, 0) << probe;
+    EXPECT_EQ(e.verb, nullptr) << probe;
+    EXPECT_TRUE(e.word.empty()) << probe;
+  }
+}
+
 // ---- Gazetteer --------------------------------------------------------------
 
 TEST(GazetteerTest, TypeLookupCaseInsensitive) {
@@ -214,7 +318,40 @@ TEST(GazetteerTest, LowercaseMentionFlag) {
   g.AddSurface("Brooklyn", kb::EntityType::kLocation);
   EXPECT_TRUE(g.IsLowercaseMention("machine learning"));
   EXPECT_FALSE(g.IsLowercaseMention("Brooklyn"));
-  EXPECT_EQ(g.max_lowercase_tokens(), 2);
+  EXPECT_EQ(g.LowercaseMentionTokens("Machine"), 2);
+  EXPECT_EQ(g.LowercaseMentionTokens("learning"), 0);
+  EXPECT_EQ(g.LowercaseMentionTokens("brooklyn"), 0);
+}
+
+// Probes fold on the fly: every answer for a mixed-case or high-bit
+// surface equals the answer for its AsciiToLower form.
+TEST(GazetteerTest, FoldedProbesAgreeWithLowercaseCopies) {
+  Gazetteer g;
+  g.AddSurface("Brooklyn", kb::EntityType::kLocation);
+  g.AddSurface("machine learning", kb::EntityType::kTopic, true);
+  g.AddSurface("Caf\xC3\xA9 Noir", kb::EntityType::kOrganization);
+  g.AddSurface("\xC3\x89" "cole Polytechnique de Montreal",
+               kb::EntityType::kOrganization, true);
+  g.AddSurface("The Storm on the Sea of Galilee", kb::EntityType::kWork);
+  int hits = 0;
+  for (const std::string& probe : std::vector<std::string>{
+           "Brooklyn", "BROOKLYN", "bRoOkLyN", "Brooklyn ", "Brookly",
+           "MACHINE LEARNING", "Machine Learning", "machine\xC2\xA0learning",
+           "CAF\xC3\xA9 NOIR", "caf\xC3\xA9 noir", "CAF\xC3\x89 NOIR",
+           "\xC3\x89" "COLE POLYTECHNIQUE DE MONTREAL",
+           "\xC3\xA9" "cole polytechnique de montreal",
+           "THE STORM ON THE SEA OF GALILEE", "the storm on the sea of galile",
+           "\xC2\xC2\xCF\xCF", "", "\x80\x81\xFF"}) {
+    const std::string lower = AsciiToLower(probe);
+    EXPECT_EQ(g.LookupType(probe), g.LookupType(lower)) << probe;
+    EXPECT_EQ(g.Contains(probe), g.Contains(lower)) << probe;
+    EXPECT_EQ(g.IsLowercaseMention(probe), g.IsLowercaseMention(lower))
+        << probe;
+    EXPECT_EQ(g.LowercaseMentionType(probe), g.LowercaseMentionType(lower))
+        << probe;
+    if (g.Contains(probe)) ++hits;
+  }
+  EXPECT_EQ(hits, 9);
 }
 
 TEST(GazetteerTest, FirstTypeWinsButLowercaseFlagAccumulates) {
