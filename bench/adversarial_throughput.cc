@@ -74,7 +74,7 @@ WorkloadResult RunBatches(serving::BatchLinkingService* service,
 }
 
 WorkloadResult RunSessions(serving::BatchLinkingService* service,
-                           const kb::KnowledgeBase& kb,
+                           const kb::KbView& view,
                            const datasets::SessionDataset& sessions,
                            int rounds) {
   WorkloadResult out;
@@ -88,7 +88,7 @@ WorkloadResult RunSessions(serving::BatchLinkingService* service,
         Classify(served, &out);
         if (served.size() == 1 && !served[0].shed && served[0].result.ok()) {
           core::LinkingResult result = *served[0].result;
-          context.ApplySessionCoherence(kb, &result);
+          context.ApplySessionCoherence(view, &result);
           context.ObserveTurn(result);
         }
       }
@@ -113,8 +113,7 @@ void Run(const JsonArgs& json_args) {
   // world (BuildWorld is deterministic, so it matches the environment's).
   datasets::SyntheticWorld world = datasets::BuildWorld();
   std::shared_ptr<const serving::KbGeneration> generation =
-      serving::KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
-                                           std::move(world.embeddings),
+      serving::KbGeneration::FromSubstrate(world.kb(), world.embeddings,
                                            /*id=*/1);
 
   const datasets::Dataset& clean = env.dataset("T-REx42");
@@ -154,7 +153,7 @@ void Run(const JsonArgs& json_args) {
   WorkloadResult clean_result = RunBatches(&service, clean_texts, rounds);
   WorkloadResult hostile_result = RunBatches(&service, hostile_texts, rounds);
   WorkloadResult session_result =
-      RunSessions(&service, generation->kb(), sessions, session_rounds);
+      RunSessions(&service, generation->view(), sessions, session_rounds);
 
   std::printf("Adversarial serving throughput: TENET via BatchLinkingService "
               "(4 workers)\n");

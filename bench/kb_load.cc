@@ -1,7 +1,8 @@
-// Snapshot-load benchmark: the TENETKB3 snapshot loaded buffered and
-// zero-copy (mmap), a delta replay on top of it, the TENETEMB1 embedding
-// container streamed vs mapped, and sharded layouts.  This is the number
-// behind the README loading-time table.
+// Snapshot-load benchmark: the flat TENETKB3 + TENETEMB1 pair loaded
+// buffered and zero-copy (mmap) through the one loader (ShardedKb::Load,
+// as its 1-shard layout), a delta replay on top of it, the TENETEMB1
+// embedding container alone streamed vs mapped, and sharded layouts.  This
+// is the number behind the README loading-time table.
 //
 // `--json <path>` writes {bench, ns_per_op, pairs_per_sec, speedup} records
 // (the BENCH_kb_load.json trajectory CI archives); `--smoke` shrinks the
@@ -105,8 +106,8 @@ int main(int argc, char** argv) {
     for (bool prefer_mmap : {false, true}) {
       kb::KbLoadOptions options;
       options.prefer_mmap = prefer_mmap;
-      double ms = BestMillis(reps, [&bin_path, &options] {
-        return kb::LoadKnowledgeBase(bin_path, options);
+      double ms = BestMillis(reps, [&bin_path, &emb_path, &options] {
+        return kb::ShardedKb::Load(bin_path, emb_path, options);
       });
       const char* name = prefer_mmap ? "binary_mmap" : "binary";
       std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name, name, ms,
@@ -116,10 +117,10 @@ int main(int argc, char** argv) {
           items / (ms / 1e3), 0.0});
     }
 
-    // Delta replay (DESIGN.md §12): the live-update cold-start path —
-    // binary snapshot + embeddings + a stack of TENETDELTA1 segments
-    // loaded, validated and folded in.  The column quantifies the replay
-    // tax an updater pays before compaction catches up.
+    // Delta replay (DESIGN.md §12): the live-update cold-start path — the
+    // snapshot pair + a stack of TENETDELTA1 segments loaded, validated
+    // and folded in.  The column quantifies the replay tax an updater pays
+    // before compaction catches up.
     constexpr int kDeltaSegments = 8;
     constexpr int kEntitiesPerSegment = 16;
     std::vector<std::string> delta_paths;
@@ -156,10 +157,9 @@ int main(int argc, char** argv) {
       double ms = BestMillis(reps, [&]() -> Result<kb::AppliedDelta> {
         kb::KbLoadOptions options;
         options.prefer_mmap = true;
-        TENET_ASSIGN_OR_RETURN(kb::KnowledgeBase kb,
-                               kb::LoadKnowledgeBase(bin_path, options));
-        TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore store,
-                               kb::LoadEmbeddings(emb_path, options));
+        TENET_ASSIGN_OR_RETURN(kb::ShardedKb base,
+                               kb::ShardedKb::Load(bin_path, emb_path,
+                                                   options));
         std::vector<kb::DeltaSegment> segments;
         segments.reserve(delta_paths.size());
         for (const std::string& path : delta_paths) {
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
                                  kb::LoadDeltaSegment(path));
           segments.push_back(std::move(segment));
         }
-        return kb::ApplyDeltas(kb, store, segments);
+        return kb::ApplyDeltas(base, segments);
       });
       std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name,
                   "delta_replay", ms, items / (ms / 1e3), "-");

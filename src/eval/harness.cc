@@ -188,7 +188,7 @@ SystemScores EvaluateEndToEndLive(const baselines::Linker& linker,
 }
 
 SystemScores EvaluateSessions(const baselines::Linker& linker,
-                              const kb::KnowledgeBase& kb,
+                              const kb::KbView& view,
                               const datasets::SessionDataset& sessions,
                               const SessionEvalOptions& options) {
   SystemScores scores;
@@ -208,7 +208,7 @@ SystemScores EvaluateSessions(const baselines::Linker& linker,
               : linker.LinkDocument(turn.text);
       if (result.ok() && options.use_session_context) {
         serving::SessionTurnStats stats =
-            context.ApplySessionCoherence(kb, &result.value());
+            context.ApplySessionCoherence(view, &result.value());
         scores.session_relinked += stats.relinked_to_memory;
         scores.session_isolated_resolved += stats.isolated_resolved;
         context.ObserveTurn(result.value());

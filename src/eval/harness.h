@@ -10,7 +10,7 @@
 #include "datasets/document.h"
 #include "datasets/session_generator.h"
 #include "eval/metrics.h"
-#include "kb/knowledge_base.h"
+#include "kb/kb_view.h"
 #include "obs/metrics.h"
 #include "serving/session.h"
 #include "text/gazetteer.h"
@@ -139,10 +139,10 @@ struct SessionEvalOptions {
 /// linked in conversation order through one serving::SessionContext —
 /// turn k's result is re-ranked against the entities turns 0..k-1
 /// resolved, then observed into the memory — and scored per turn exactly
-/// as EvaluateEndToEnd scores documents.  `kb` is the serving KB the
-/// session layer probes for candidate overlap.
+/// as EvaluateEndToEnd scores documents.  `view` is the KB the session
+/// layer probes for candidate overlap.
 SystemScores EvaluateSessions(const baselines::Linker& linker,
-                              const kb::KnowledgeBase& kb,
+                              const kb::KbView& view,
                               const datasets::SessionDataset& sessions,
                               const SessionEvalOptions& options = {});
 

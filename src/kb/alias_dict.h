@@ -41,9 +41,11 @@ namespace kb {
 //     from them.
 //   - Postings live in one arena, grouped entities-first per surface, so
 //     Entities()/Predicates() each return one contiguous borrowed span in
-//     CanonicalPostingOrder (delta-touched lists: stable by-prior order).
-//     `kind_bits_` remembers the original entity/predicate interleave so
-//     serialization reproduces posting lists byte-for-byte.
+//     CanonicalPostingOrder — the one posting order: Finalize sorts into
+//     it, and partitions and delta applies (kb/delta.h) keep it, so
+//     per-shard lists merge back exactly.  `kind_bits_` remembers the
+//     original entity/predicate interleave so serialization reproduces
+//     posting lists byte-for-byte.
 //
 // The dictionary is immutable after construction; concurrent readers need
 // no synchronization, which is what keeps lookups lock-free across RCU

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/result.h"
-#include "embedding/embedding_store.h"
-#include "kb/knowledge_base.h"
+#include "kb/kb_view.h"
+#include "kb/sharded_kb.h"
 #include "kb/types.h"
 
 namespace tenet {
@@ -35,22 +35,27 @@ namespace kb {
 // anything; a corrupt segment yields InvalidArgument, never a partial
 // segment.
 //
-// Apply semantics (ApplyDeltas):
+// Apply semantics (ApplyDeltas), the same at every shard count:
 //  - Dense ids are append-only: a delta-added entity gets the next id
 //    after the base KB's (DeltaBuilder hands these out), so facts and
 //    embeddings can reference entities added earlier in the same chain.
+//    New records, facts and embedding rows land on their home shards
+//    (ShardedKb's strided layout; facts on every participant's).
 //  - Alias weights compose with the surface's current distribution: the
 //    base KB's finalized priors count as the existing weights, a delta
 //    posting adds (or, for adjustments, replaces) a weight in those units,
-//    and only the touched surfaces are renormalized + re-sorted.
-//    Untouched surfaces keep their priors BIT-EXACT (the same contract
-//    the snapshot round trip honors: adopted dictionaries are never
-//    renormalized), so a delta can never flip a near-tie disambiguation
-//    it didn't mention.
+//    and only the touched surfaces are renormalized — over the surface's
+//    postings gathered from every shard — and re-sorted into
+//    CanonicalPostingOrder, so exact prior ties break toward the smaller
+//    (kind, id) on every layout.  Untouched surfaces keep their priors
+//    BIT-EXACT (the same contract the snapshot round trip honors: adopted
+//    dictionaries are never renormalized), so a delta can never flip a
+//    near-tie disambiguation it didn't mention.
 //  - Tombstones keep the concept's record (ids stay dense) but strip all
 //    of its alias postings and drop every fact touching it — the concept
 //    becomes unreachable from candidate generation.  A tombstone wins
-//    over adds of the same concept anywhere in the applied chain.
+//    over adds of the same concept anywhere in the applied chain.  The
+//    surviving facts keep their relative order and are renumbered densely.
 //  - kSetEmbedding replaces one concept's raw vector; concepts without a
 //    vector (typically delta-added ones) default to the zero row, whose
 //    cosine against anything is 0.
@@ -105,8 +110,8 @@ struct DeltaSegment {
 class DeltaBuilder {
  public:
   DeltaBuilder(int32_t base_entities, int32_t base_predicates);
-  /// Sizes the id space from `base` (which need not be finalized yet).
-  explicit DeltaBuilder(const KnowledgeBase& base);
+  /// Sizes the id space from `base`.
+  explicit DeltaBuilder(const KbView& base);
 
   /// Adds an entity; like KnowledgeBase::AddEntity, its label is also
   /// registered as an alias weighted by `popularity`.  Returns the dense
@@ -178,20 +183,19 @@ struct DeltaApplyStats {
 
 // The materialized result of applying a delta chain onto a base.
 struct AppliedDelta {
-  KnowledgeBase kb;
-  embedding::EmbeddingStore embeddings;
+  ShardedKb kb;
   DeltaApplyStats stats;
 };
 
-/// Rebuilds (base KB + base embeddings) with `segments` applied in order,
-/// under the semantics documented above.  The base is untouched (it may
-/// be serving live traffic); the result is a fresh, finalized substrate.
-/// Records are validated against the running id space; any invalid record
-/// fails the whole apply with InvalidArgument and nothing is returned.
-Result<AppliedDelta> ApplyDeltas(
-    const KnowledgeBase& base,
-    const embedding::EmbeddingStore& base_embeddings,
-    std::span<const DeltaSegment> segments);
+/// Rebuilds `base` with `segments` applied in order, under the semantics
+/// documented above, as a layout with the base's shard count.  The base is
+/// untouched (it may be serving live traffic): every result shard shares
+/// its base shard's frozen alias dictionary and carries the touched
+/// surfaces in a fresh overlay.  Records are validated against the running
+/// id space; any invalid record fails the whole apply with InvalidArgument
+/// and nothing is returned.
+Result<AppliedDelta> ApplyDeltas(const ShardedKb& base,
+                                 std::span<const DeltaSegment> segments);
 
 }  // namespace kb
 }  // namespace tenet

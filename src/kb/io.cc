@@ -54,9 +54,8 @@ enum SectionId : uint32_t {
   kSectionFacts = 5,
   // Present only in per-shard snapshots of a sharded layout: one 32-byte
   // record {u32 num_shards, u32 shard_index, i64 global_entities,
-  // i64 global_predicates, i64 global_facts}.  The flat loader rejects it,
-  // which keeps `kb delta`/`kb merge` from silently treating one shard as
-  // a whole KB.
+  // i64 global_predicates, i64 global_facts}.  A flat load rejects it, so
+  // one shard is never mistaken for a whole KB.
   kSectionShardInfo = 6,
   // Frozen alias dictionary (kb/alias_dict.h, DESIGN.md §15): front-coded
   // sorted surfaces + posting arena, self-checksummed.
@@ -201,10 +200,6 @@ Status CheckMagic(std::span<const std::byte> bytes) {
                               std::min<size_t>(bytes.size(), 16));
   if (head.starts_with(std::string_view(kKbMagic, sizeof(kKbMagic)))) {
     return Status::Ok();
-  }
-  if (IsShardManifest(bytes)) {
-    return Status::InvalidArgument(
-        "sharded KB manifest; load it via ShardedKb::Load");
   }
   if (head.starts_with("TENETKB")) {
     // Binary magics are "TENETKB<n>"; version 1 was a text format whose
@@ -589,38 +584,9 @@ Status WriteSnapshot(const SnapshotContents& contents,
 
 // ---- TENETKB3 decoder -----------------------------------------------------
 
-// Decoder targets.  A flat snapshot decodes straight into the
-// KnowledgeBase it becomes; a shard snapshot into its ShardedKb::Shard.
-// Both receive records the decoder has already validated.
-struct KnowledgeBaseSink {
-  KnowledgeBase& kb;
-
-  void Reserve(int32_t entities, int32_t predicates, int32_t facts) {
-    kb.Reserve(entities, predicates, facts);
-  }
-  void AddEntity(std::string_view label, EntityType type, int32_t domain,
-                 double popularity) {
-    kb.AddEntity(label, type, domain, popularity,
-                 /*register_label_alias=*/false);
-  }
-  void AddPredicate(std::string_view label, int32_t domain,
-                    double popularity) {
-    kb.AddPredicate(label, domain, popularity,
-                    /*register_label_alias=*/false);
-  }
-  void AdoptAliases(std::shared_ptr<const FrozenAliasDict> dict) {
-    kb.AdoptAliasState(std::move(dict), {});
-  }
-  Status AddFact(EntityId subject, PredicateId predicate, EntityId object,
-                 int64_t /*fact_id*/) {
-    return kb.AddFact(subject, predicate, object);
-  }
-  Status AddLiteralFact(EntityId subject, PredicateId predicate,
-                        std::string_view literal, int64_t /*fact_id*/) {
-    return kb.AddLiteralFact(subject, predicate, literal);
-  }
-};
-
+// Decoder target: a shard of the layout being loaded (a flat snapshot is
+// shard 0 of its 1-shard layout).  Receives records the decoder has
+// already validated.
 struct ShardSink {
   ShardedKb::Shard& shard;
 
@@ -668,16 +634,16 @@ struct ShardSink {
 };
 
 // Validates every record of a mapped TENETKB3 snapshot and hands it to
-// `sink`.  `shard` is null for a flat snapshot.  For a shard snapshot it is
+// `sink`.  `shard` is null for a flat snapshot, whose fact ids are its
+// record indices.  For a shard snapshot it is
 // the validated shard_info: concept ids are then checked against its
 // global counts, the local record counts against the strided layout, and
 // the facts' global ids for being ascending and in range.  Any defect
 // yields InvalidArgument; the sink may then hold a partial decode, which
 // the callers drop.
-template <typename Sink>
 Status DecodeSnapshot(std::span<const std::byte> bytes,
                       const SnapshotLayout& layout, const ShardInfo* shard,
-                      Sink& sink) {
+                      ShardSink& sink) {
   TENET_ASSIGN_OR_RETURN(
       std::vector<std::string_view> strings,
       ParseStringTable(bytes, layout.section(kSectionStrings)));
@@ -870,12 +836,12 @@ Result<ShardManifest> ParseShardManifest(const std::string& path) {
   return manifest;
 }
 
-// Decodes shard `index` of `manifest` from its mapped snapshot: shard_info
-// must name exactly that slot of that layout.
-Result<ShardedKb::Shard> DecodeShard(std::span<const std::byte> bytes,
-                                     const ShardManifest& manifest,
-                                     int32_t index) {
-  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout, ParseSnapshotLayout(bytes));
+// Checks that the shard_info of the snapshot behind `layout` names exactly
+// slot `index` of `manifest`'s layout.
+Result<ShardInfo> CheckShardInfo(std::span<const std::byte> bytes,
+                                 const SnapshotLayout& layout,
+                                 const ShardManifest& manifest,
+                                 int32_t index) {
   if (!layout.present[kSectionShardInfo]) {
     return Status::InvalidArgument(
         "snapshot named by a shard manifest has no shard_info section");
@@ -898,11 +864,55 @@ Result<ShardedKb::Shard> DecodeShard(std::span<const std::byte> bytes,
         "shard_info globals disagree with the manifest: " +
         manifest.files[index].first);
   }
+  return info;
+}
+
+// Decodes the snapshot mapped in `file` as shard `index` of `num_shards`
+// (`info` is null for a flat snapshot: shard 0 of 1) and attaches its
+// TENETEMB1 matrix from `embeddings_path`.  `timer` started with the
+// shard's load.
+Result<ShardedKb::Shard> LoadShard(const MmapFile& file,
+                                   const SnapshotLayout& layout,
+                                   const ShardInfo* info, int32_t num_shards,
+                                   int32_t index,
+                                   const std::string& embeddings_path,
+                                   const KbLoadOptions& options,
+                                   const WallTimer& timer) {
   ShardedKb::Shard shard;
   ShardSink sink{shard};
-  TENET_RETURN_IF_ERROR(DecodeSnapshot(bytes, layout, &info, sink));
-  ShardedKb::BuildShardIndexes(shard, manifest.num_shards, index);
+  TENET_RETURN_IF_ERROR(DecodeSnapshot(file.bytes(), layout, info, sink));
+  ShardedKb::BuildShardIndexes(shard, num_shards, index);
+  TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore embeddings,
+                         LoadEmbeddings(embeddings_path, options));
+  if (embeddings.num_entities() !=
+          static_cast<int32_t>(shard.entities.size()) ||
+      embeddings.num_predicates() !=
+          static_cast<int32_t>(shard.predicates.size())) {
+    return Status::InvalidArgument(
+        "embedding counts disagree with the snapshot: " + embeddings_path);
+  }
+  shard.embeddings =
+      std::make_unique<embedding::EmbeddingStore>(std::move(embeddings));
+  shard.mapped_bytes = file.zero_copy() ? file.size() : 0;
+  shard.load_ms = timer.ElapsedMillis();
+  RecordLoad(info != nullptr ? "kb_shard" : "kb",
+             file.zero_copy() ? "binary_mmap" : "binary", shard.load_ms,
+             shard.mapped_bytes);
   return shard;
+}
+
+// Writes one TENETKB3 snapshot of `shard` (with shard_info when `info` is
+// non-null).
+Status WriteShardSnapshot(const ShardedKb::Shard& shard,
+                          const ShardInfo* info, const std::string& path) {
+  SnapshotContents contents;
+  contents.entities = shard.entities;
+  contents.predicates = shard.predicates;
+  contents.aliases = &shard.alias_index;
+  contents.facts = shard.facts;
+  contents.shard = info;
+  contents.fact_ids = shard.fact_ids;
+  return WriteSnapshot(contents, path);
 }
 
 }  // namespace
@@ -917,30 +927,6 @@ Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path) {
   contents.aliases = &kb.alias_index();
   contents.facts = kb.facts();
   return WriteSnapshot(contents, path);
-}
-
-Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
-                                        const KbLoadOptions& options) {
-  if (TENET_FAULT_POINT("kb/io/load_kb")) {
-    return Status::DataLoss("injected fault: kb load failed: " + path);
-  }
-  WallTimer timer;
-  TENET_ASSIGN_OR_RETURN(MmapFile file,
-                         MmapFile::Open(path, options.prefer_mmap));
-  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
-                         ParseSnapshotLayout(file.bytes()));
-  if (layout.present[kSectionShardInfo]) {
-    return Status::InvalidArgument(
-        "snapshot is one shard of a sharded KB; load the whole layout via "
-        "its TENETKBSHARDS1 manifest (ShardedKb::Load)");
-  }
-  KnowledgeBase kb;
-  KnowledgeBaseSink sink{kb};
-  TENET_RETURN_IF_ERROR(DecodeSnapshot(file.bytes(), layout, nullptr, sink));
-  kb.Finalize();
-  RecordLoad("kb", file.zero_copy() ? "binary_mmap" : "binary",
-             timer.ElapsedMillis(), file.zero_copy() ? file.size() : 0);
-  return kb;
 }
 
 Status ShardedKb::Save(const std::string& manifest_path) const {
@@ -959,18 +945,11 @@ Status ShardedKb::Save(const std::string& manifest_path) const {
     info.global_entities = num_entities_;
     info.global_predicates = num_predicates_;
     info.global_facts = num_facts_;
-    const Shard& sh = shard(s);
-    SnapshotContents contents;
-    contents.entities = sh.entities;
-    contents.predicates = sh.predicates;
-    contents.aliases = &sh.alias_index;
-    contents.facts = sh.facts;
-    contents.shard = &info;
-    contents.fact_ids = sh.fact_ids;
     const std::string kb_name = base + ".s" + std::to_string(s) + ".tenetkb";
     const std::string emb_name = base + ".s" + std::to_string(s) + ".emb";
-    TENET_RETURN_IF_ERROR(WriteSnapshot(contents, dir + kb_name));
-    TENET_RETURN_IF_ERROR(SaveEmbeddings(*sh.embeddings, dir + emb_name));
+    TENET_RETURN_IF_ERROR(WriteShardSnapshot(shard(s), &info, dir + kb_name));
+    TENET_RETURN_IF_ERROR(
+        SaveEmbeddings(*shard(s).embeddings, dir + emb_name));
     manifest << kb_name << "\t" << emb_name << "\n";
   }
   // The manifest lands last: a crash mid-save leaves at worst orphan shard
@@ -983,46 +962,67 @@ Status ShardedKb::Save(const std::string& manifest_path) const {
   return AtomicWriteFile(manifest_path, bytes.data(), bytes.size());
 }
 
-Result<ShardedKb> ShardedKb::Load(const std::string& manifest_path,
+Status ShardedKb::SaveFlat(const std::string& kb_path,
+                           const std::string& embeddings_path) const {
+  if (num_shards() != 1) {
+    return Status::FailedPrecondition(
+        "only a 1-shard layout persists as a flat snapshot pair");
+  }
+  TENET_RETURN_IF_ERROR(WriteShardSnapshot(shard(0), nullptr, kb_path));
+  return SaveEmbeddings(*shard(0).embeddings, embeddings_path);
+}
+
+Result<ShardedKb> ShardedKb::Load(const std::string& path,
+                                  const std::string& embeddings_path,
                                   const KbLoadOptions& options) {
   if (TENET_FAULT_POINT("kb/io/load_kb")) {
-    return Status::DataLoss("injected fault: kb load failed: " +
-                            manifest_path);
+    return Status::DataLoss("injected fault: kb load failed: " + path);
   }
-  TENET_ASSIGN_OR_RETURN(ShardManifest manifest,
-                         ParseShardManifest(manifest_path));
-  const std::string dir = DirPrefix(manifest_path);
+  WallTimer timer;
+  TENET_ASSIGN_OR_RETURN(MmapFile file,
+                         MmapFile::Open(path, options.prefer_mmap));
   std::vector<Shard> shards;
+  if (!IsShardManifest(file.bytes())) {
+    // A flat snapshot: shard 0 of its 1-shard layout.
+    TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
+                           ParseSnapshotLayout(file.bytes()));
+    if (layout.present[kSectionShardInfo]) {
+      return Status::InvalidArgument(
+          "snapshot is one shard of a sharded KB; load the whole layout via "
+          "its TENETKBSHARDS1 manifest");
+    }
+    TENET_ASSIGN_OR_RETURN(Shard shard,
+                           LoadShard(file, layout, nullptr, 1, 0,
+                                     embeddings_path, options, timer));
+    const auto num_entities = static_cast<int32_t>(shard.entities.size());
+    const auto num_predicates = static_cast<int32_t>(shard.predicates.size());
+    const auto num_facts = static_cast<int64_t>(shard.facts.size());
+    shards.push_back(std::move(shard));
+    return ShardedKb(std::move(shards), num_entities, num_predicates,
+                     num_facts);
+  }
+  TENET_ASSIGN_OR_RETURN(ShardManifest manifest, ParseShardManifest(path));
+  const std::string dir = DirPrefix(path);
   shards.reserve(manifest.files.size());
   for (int32_t s = 0; s < manifest.num_shards; ++s) {
-    WallTimer timer;
+    WallTimer shard_timer;
     TENET_ASSIGN_OR_RETURN(
-        MmapFile file,
+        MmapFile shard_file,
         MmapFile::Open(dir + manifest.files[s].first, options.prefer_mmap));
-    TENET_ASSIGN_OR_RETURN(Shard shard,
-                           DecodeShard(file.bytes(), manifest, s));
+    TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
+                           ParseSnapshotLayout(shard_file.bytes()));
     TENET_ASSIGN_OR_RETURN(
-        embedding::EmbeddingStore embeddings,
-        LoadEmbeddings(dir + manifest.files[s].second, options));
-    if (embeddings.num_entities() !=
-            static_cast<int32_t>(shard.entities.size()) ||
-        embeddings.num_predicates() !=
-            static_cast<int32_t>(shard.predicates.size())) {
-      return Status::InvalidArgument(
-          "shard embedding counts disagree with the snapshot: " +
-          manifest.files[s].second);
-    }
+        ShardInfo info,
+        CheckShardInfo(shard_file.bytes(), layout, manifest, s));
+    TENET_ASSIGN_OR_RETURN(
+        Shard shard,
+        LoadShard(shard_file, layout, &info, manifest.num_shards, s,
+                  dir + manifest.files[s].second, options, shard_timer));
     if (!shards.empty() &&
-        embeddings.dimension() != shards[0].embeddings->dimension()) {
+        shard.embeddings->dimension() != shards[0].embeddings->dimension()) {
       return Status::InvalidArgument(
           "shard embedding dimensions disagree across shards");
     }
-    shard.embeddings =
-        std::make_unique<embedding::EmbeddingStore>(std::move(embeddings));
-    shard.mapped_bytes = file.zero_copy() ? file.size() : 0;
-    shard.load_ms = timer.ElapsedMillis();
-    RecordLoad("kb_shard", file.zero_copy() ? "binary_mmap" : "binary",
-               shard.load_ms, shard.mapped_bytes);
     shards.push_back(std::move(shard));
   }
   return ShardedKb(std::move(shards),
@@ -1189,52 +1189,32 @@ Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path) {
   return info;
 }
 
-namespace {
-
-// Shared derivation core: `visit` enumerates every posting exactly once (in
-// any order, possibly split into non-consecutive per-surface runs), `type_of`
-// maps the winning entity id to its type.  Ties on prior break toward the
-// smaller entity id so the result is independent of visitation order — the
-// flat and sharded substrates enumerate postings differently but must yield
-// the same gazetteer.
-template <typename VisitFn, typename TypeFn>
-text::Gazetteer DeriveGazetteerImpl(VisitFn&& visit, TypeFn&& type_of) {
+text::Gazetteer DeriveGazetteer(const KbView& view) {
   text::Gazetteer gazetteer;
-  // Collect, per surface, the highest-prior entity posting.
+  // Collect, per surface, the highest-prior entity posting.  Postings may
+  // arrive in any order, one surface split into several runs (one per
+  // shard); ties on prior break toward the smaller entity id, so the result
+  // does not depend on the visitation order or the shard count.
   std::unordered_map<std::string, std::pair<double, EntityId>> best;
-  visit([&best](std::string_view surface, const AliasPosting& posting) {
-    if (!posting.concept_ref.is_entity()) return;
-    auto [it, inserted] =
-        best.emplace(std::string(surface),
-                     std::make_pair(posting.prior, posting.concept_ref.id));
-    if (!inserted && (posting.prior > it->second.first ||
-                      (posting.prior == it->second.first &&
-                       posting.concept_ref.id < it->second.second))) {
-      it->second = {posting.prior, posting.concept_ref.id};
-    }
-  });
+  view.VisitAliasPostings(
+      [&best](std::string_view surface, const AliasPosting& posting) {
+        if (!posting.concept_ref.is_entity()) return;
+        auto [it, inserted] = best.emplace(
+            std::string(surface),
+            std::make_pair(posting.prior, posting.concept_ref.id));
+        if (!inserted && (posting.prior > it->second.first ||
+                          (posting.prior == it->second.first &&
+                           posting.concept_ref.id < it->second.second))) {
+          it->second = {posting.prior, posting.concept_ref.id};
+        }
+      });
   for (const auto& [surface, sense] : best) {
     bool lowercase =
         !surface.empty() &&
         std::islower(static_cast<unsigned char>(surface[0])) != 0;
-    gazetteer.AddSurface(surface, type_of(sense.second), lowercase);
+    gazetteer.AddSurface(surface, view.entity(sense.second).type, lowercase);
   }
   return gazetteer;
-}
-
-}  // namespace
-
-text::Gazetteer DeriveGazetteer(const KnowledgeBase& kb) {
-  TENET_CHECK(kb.finalized());
-  return DeriveGazetteerImpl(
-      [&kb](auto&& visitor) { kb.alias_index().VisitPostings(visitor); },
-      [&kb](EntityId id) { return kb.entity(id).type; });
-}
-
-text::Gazetteer DeriveGazetteer(const KbView& view) {
-  return DeriveGazetteerImpl(
-      [&view](auto&& visitor) { view.VisitAliasPostings(visitor); },
-      [&view](EntityId id) { return view.entity(id).type; });
 }
 
 }  // namespace kb

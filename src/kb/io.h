@@ -22,8 +22,10 @@ namespace kb {
 // length-prefixed sections (string table, entities, predicates, facts, the
 // frozen alias dictionary) behind a checksummed header, loaded zero-copy
 // through common/mmap_file (with a buffered fallback) without
-// re-tokenizing a single float.  A shard of a sharded layout is the same
-// container plus a shard_info section (ShardedKb::Save/Load).  The magic
+// re-tokenizing a single float.  There is one loader, ShardedKb::Load: a
+// flat snapshot loads as shard 0 of a 1-shard layout, and a shard of an
+// N-shard layout is the same container plus a shard_info section
+// (ShardedKb::Save/Load).  The magic
 // carries the format version, bumped on every layout change; files of an
 // older version are rejected with a message naming the version and
 // `tenet_cli kb build`, never loaded silently.
@@ -51,11 +53,6 @@ struct KbLoadOptions {
 /// snapshot.  Alias priors are persisted as the finalized probabilities,
 /// so a reloaded KB reproduces the exact candidate distributions.
 Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path);
-
-/// Reads a flat TENETKB3 snapshot written by SaveKnowledgeBase and
-/// finalizes it around the adopted alias dictionary.
-Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
-                                        const KbLoadOptions& options = {});
 
 /// Writes the embedding store (finalized) to `path` (binary "TENETEMB1").
 Status SaveEmbeddings(const embedding::EmbeddingStore& store,
@@ -113,18 +110,14 @@ struct EmbFileInfo {
 /// Reads only the header of a TENETEMB1 file and validates its size.
 Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path);
 
-/// Derives an NER gazetteer from a (finalized) KB: every alias surface is
-/// registered under the type of its most probable entity sense (ties
-/// broken toward the smaller entity id, so the result is independent of
-/// posting visitation order); surfaces that start lowercase are marked
-/// spottable in lowercase text.  This is how a loaded KB becomes usable by
-/// the extraction pipeline without persisting the gazetteer separately.
-text::Gazetteer DeriveGazetteer(const KnowledgeBase& kb);
-
 class KbView;
 
-/// Substrate-agnostic overload: same derivation over any KbView (flat or
-/// sharded), yielding an identical gazetteer for the same logical KB.
+/// Derives an NER gazetteer from a KB: every alias surface is registered
+/// under the type of its most probable entity sense (ties broken toward the
+/// smaller entity id, so the result is independent of posting visitation
+/// order and of the shard count); surfaces that start lowercase are marked
+/// spottable in lowercase text.  This is how a loaded KB becomes usable by
+/// the extraction pipeline without persisting the gazetteer separately.
 text::Gazetteer DeriveGazetteer(const KbView& view);
 
 }  // namespace kb

@@ -10,30 +10,24 @@ namespace tenet {
 namespace kb {
 
 EntityId KnowledgeBase::AddEntity(std::string_view label, EntityType type,
-                                  int32_t domain, double popularity,
-                                  bool register_label_alias) {
+                                  int32_t domain, double popularity) {
   TENET_CHECK(!finalized_);
   TENET_CHECK_GT(popularity, 0.0);
   EntityId id = static_cast<EntityId>(entities_.size());
   entities_.push_back(
       EntityRecord{std::string(label), type, domain, popularity});
-  if (register_label_alias) {
-    alias_index_.Add(label, ConceptRef::Entity(id), popularity);
-  }
+  alias_index_.Add(label, ConceptRef::Entity(id), popularity);
   return id;
 }
 
 PredicateId KnowledgeBase::AddPredicate(std::string_view label,
-                                        int32_t domain, double popularity,
-                                        bool register_label_alias) {
+                                        int32_t domain, double popularity) {
   TENET_CHECK(!finalized_);
   TENET_CHECK_GT(popularity, 0.0);
   PredicateId id = static_cast<PredicateId>(predicates_.size());
   predicates_.push_back(
       PredicateRecord{std::string(label), domain, popularity});
-  if (register_label_alias) {
-    alias_index_.Add(label, ConceptRef::Predicate(id), popularity);
-  }
+  alias_index_.Add(label, ConceptRef::Predicate(id), popularity);
   return id;
 }
 
@@ -52,21 +46,6 @@ void KnowledgeBase::AddPredicateAlias(PredicateId id,
   TENET_CHECK(id >= 0 && id < num_predicates());
   double w = weight > 0.0 ? weight : predicates_[id].popularity;
   alias_index_.Add(surface, ConceptRef::Predicate(id), w);
-}
-
-void KnowledgeBase::Reserve(int32_t num_entities, int32_t num_predicates,
-                            int32_t num_facts) {
-  TENET_CHECK(!finalized_);
-  entities_.reserve(num_entities);
-  predicates_.reserve(num_predicates);
-  facts_.reserve(num_facts);
-}
-
-void KnowledgeBase::AdoptAliasState(
-    std::shared_ptr<const FrozenAliasDict> dict,
-    AliasIndex::OverlayMap overlay) {
-  TENET_CHECK(!finalized_);
-  alias_index_.AdoptFrozen(std::move(dict), std::move(overlay));
 }
 
 Status KnowledgeBase::AddFact(EntityId subject, PredicateId predicate,
@@ -110,9 +89,7 @@ Status KnowledgeBase::AddLiteralFact(EntityId subject, PredicateId predicate,
 
 void KnowledgeBase::Finalize() {
   TENET_CHECK(!finalized_) << "KnowledgeBase::Finalize called twice";
-  // AdoptAliasState may have installed the frozen dictionary already; the
-  // alias index is then finalized and only the CSR build remains.
-  if (!alias_index_.finalized()) alias_index_.Finalize();
+  alias_index_.Finalize();
   // Counted two-pass CSR build: degree count, prefix sums, then a fill
   // pass through cursor copies of the offsets.  Two arena allocations per
   // concept kind instead of one vector per concept — the dominant cost of

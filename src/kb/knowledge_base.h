@@ -1,7 +1,6 @@
 #ifndef TENET_KB_KNOWLEDGE_BASE_H_
 #define TENET_KB_KNOWLEDGE_BASE_H_
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,7 +55,9 @@ struct PredicateCandidate {
 };
 
 // An in-memory triple store with a case-insensitive alias index — the
-// substrate standing in for the paper's Wikidata dump + Solr index.
+// substrate standing in for the paper's Wikidata dump + Solr index.  It is
+// where a KB is assembled (the synthetic world, tests); SaveKnowledgeBase
+// persists it, and serving reads it back as a ShardedKb.
 //
 // Build phase: Add* methods, then Finalize() exactly once.  Query phase:
 // the Candidate*/facts/neighbor accessors.  The class is immutable after
@@ -73,17 +74,13 @@ class KnowledgeBase {
   // ---- Build phase -------------------------------------------------------
 
   /// Adds an entity; its label is automatically registered as an alias
-  /// weighted by `popularity` unless `register_label_alias` is false
-  /// (used by deserialization, which restores the exact posting set).
+  /// weighted by `popularity`.
   EntityId AddEntity(std::string_view label, EntityType type,
-                     int32_t domain = 0, double popularity = 1.0,
-                     bool register_label_alias = true);
+                     int32_t domain = 0, double popularity = 1.0);
 
-  /// Adds a predicate; its label is automatically registered as an alias
-  /// unless `register_label_alias` is false.
+  /// Adds a predicate; its label is automatically registered as an alias.
   PredicateId AddPredicate(std::string_view label, int32_t domain = 0,
-                           double popularity = 1.0,
-                           bool register_label_alias = true);
+                           double popularity = 1.0);
 
   /// Registers an extra surface form.  `weight` defaults to the concept's
   /// popularity when <= 0.
@@ -92,18 +89,6 @@ class KnowledgeBase {
   void AddPredicateAlias(PredicateId id, std::string_view surface,
                          double weight = 0.0);
 
-  /// Pre-sizes the entity/predicate/fact storage.  The deserialization
-  /// path knows the exact counts up front; anything else may skip this.
-  void Reserve(int32_t num_entities, int32_t num_predicates,
-               int32_t num_facts);
-
-  /// Adopts an already-built frozen alias dictionary plus overlay in place
-  /// of the Add build path — the snapshot load and the delta compose both
-  /// use it (see AliasIndex::AdoptFrozen).  The alias index becomes
-  /// finalized immediately; Finalize() then skips it.
-  void AdoptAliasState(std::shared_ptr<const FrozenAliasDict> dict,
-                       AliasIndex::OverlayMap overlay);
-
   /// Adds the fact (subject, predicate, object_entity).
   Status AddFact(EntityId subject, PredicateId predicate,
                  EntityId object_entity);
@@ -111,9 +96,8 @@ class KnowledgeBase {
   Status AddLiteralFact(EntityId subject, PredicateId predicate,
                         std::string_view literal);
 
-  /// Freezes the KB: normalizes alias priors (unless a dictionary was
-  /// adopted), builds adjacency.  Must be called exactly once before any
-  /// query.
+  /// Freezes the KB: normalizes alias priors, builds adjacency.  Must be
+  /// called exactly once before any query.
   void Finalize();
   bool finalized() const { return finalized_; }
 

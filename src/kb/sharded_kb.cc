@@ -15,18 +15,6 @@
 namespace tenet {
 namespace kb {
 
-namespace {
-
-// Home shard / local index of the strided concept layout.
-inline int HomeShard(int32_t id, int num_shards) {
-  return static_cast<int>(id % num_shards);
-}
-inline int32_t LocalIndex(int32_t id, int num_shards) {
-  return id / num_shards;
-}
-
-}  // namespace
-
 ShardedKb::ShardedKb(std::vector<Shard> shards, int32_t num_entities,
                      int32_t num_predicates, int64_t num_facts)
     : shards_(std::move(shards)),
@@ -59,6 +47,26 @@ ShardedKb::ShardedKb(std::vector<Shard> shards, int32_t num_entities,
       "tenet_kb_shard_degraded_lookups_total",
       "Per-shard lookups dropped by a fired kb/shard fault (the request "
       "degrades; it does not fail)");
+}
+
+void ShardedKb::RouteFact(std::vector<Shard>& shards, const Triple& t,
+                          int64_t fact_id) {
+  const int n = static_cast<int>(shards.size());
+  int targets[3];
+  int num_targets = 0;
+  auto add_target = [&](int s) {
+    for (int i = 0; i < num_targets; ++i) {
+      if (targets[i] == s) return;
+    }
+    targets[num_targets++] = s;
+  };
+  add_target(HomeShard(t.subject, n));
+  if (t.object_is_entity) add_target(HomeShard(t.object_entity, n));
+  add_target(HomeShard(t.predicate, n));
+  for (int i = 0; i < num_targets; ++i) {
+    shards[targets[i]].facts.push_back(t);
+    shards[targets[i]].fact_ids.push_back(fact_id);
+  }
 }
 
 void ShardedKb::BuildShardIndexes(Shard& shard, int num_shards,
@@ -173,26 +181,11 @@ ShardedKb ShardedKb::Partition(const KnowledgeBase& kb,
     shards[s].alias_index.AdoptFrozen(std::move(builders[s]).Build(), {});
   }
 
-  // Facts: replicated to the home shard of every participant, deduped
-  // within a shard, ascending global id.
+  // Facts: replicated to the home shard of every participant, ascending
+  // global id.
   const std::vector<Triple>& facts = kb.facts();
   for (size_t f = 0; f < facts.size(); ++f) {
-    const Triple& t = facts[f];
-    int targets[3];
-    int num_targets = 0;
-    auto add_target = [&](int s) {
-      for (int i = 0; i < num_targets; ++i) {
-        if (targets[i] == s) return;
-      }
-      targets[num_targets++] = s;
-    };
-    add_target(HomeShard(t.subject, n));
-    if (t.object_is_entity) add_target(HomeShard(t.object_entity, n));
-    add_target(HomeShard(t.predicate, n));
-    for (int i = 0; i < num_targets; ++i) {
-      shards[targets[i]].facts.push_back(t);
-      shards[targets[i]].fact_ids.push_back(static_cast<int64_t>(f));
-    }
+    RouteFact(shards, facts[f], static_cast<int64_t>(f));
   }
   for (int s = 0; s < n; ++s) BuildShardIndexes(shards[s], n, s);
 
@@ -236,13 +229,24 @@ const PredicateRecord& ShardedKb::predicate(PredicateId id) const {
       .predicates[LocalIndex(id, num_shards())];
 }
 
-std::vector<AliasPosting> ShardedKb::ScatterLookup(
-    std::string_view surface, ConceptRef::Kind kind) const {
-  const int n = num_shards();
-  // Borrowed spans into each shard's frozen dictionary arena — immutable
-  // during serving, so no copy is needed until the merge below.
-  std::vector<std::span<const AliasPosting>> per_shard(n);
-  for (int s = 0; s < n; ++s) {
+std::span<const AliasPosting> ShardedKb::ScatterLookup(
+    std::string_view surface, ConceptRef::Kind kind,
+    std::vector<AliasPosting>* merged) const {
+  if (num_shards() == 1) {
+    // The 1-shard layout of a flat snapshot: its one shard's alias index is
+    // the whole lookup, already a dependency of its own
+    // ("kb/alias_lookup"), so no per-shard probe, timer or merge is
+    // layered on top — it serves exactly like the flat substrate.
+    return kind == ConceptRef::Kind::kEntity
+               ? shards_[0].alias_index.LookupEntities(surface)
+               : shards_[0].alias_index.LookupPredicates(surface);
+  }
+  // Borrowed spans into each shard's frozen dictionary arena (or overlay)
+  // are immutable during serving, so the first answering shard's list is
+  // kept by reference and copied only if a second shard answers too.
+  std::span<const AliasPosting> first;
+  int answering = 0;
+  for (int s = 0; s < num_shards(); ++s) {
     WallTimer timer;
     // A fired shard degrades the lookup instead of failing it: its
     // candidates are simply absent, the same shape as an alias-index miss,
@@ -250,36 +254,39 @@ std::vector<AliasPosting> ShardedKb::ScatterLookup(
     const bool faulted = TENET_FAULT_POINT("kb/shard");
     TENET_OBSERVE_DEPENDENCY("kb/shard", !faulted);
     shard_ops_.Record(!faulted);
+    std::span<const AliasPosting> list;
     if (faulted) {
       degraded_lookups_->Increment();
     } else if (kind == ConceptRef::Kind::kEntity) {
-      per_shard[s] = shards_[s].alias_index.LookupEntities(surface);
+      list = shards_[s].alias_index.LookupEntities(surface);
     } else {
-      per_shard[s] = shards_[s].alias_index.LookupPredicates(surface);
+      list = shards_[s].alias_index.LookupPredicates(surface);
     }
     shard_lookup_ms_[s]->Observe(timer.ElapsedMillis());
+    if (list.empty()) continue;
+    if (++answering == 1) {
+      first = list;
+      continue;
+    }
+    if (answering == 2) merged->assign(first.begin(), first.end());
+    merged->insert(merged->end(), list.begin(), list.end());
   }
-  // Gather: concatenate and re-establish the canonical order.  The
-  // comparator is a total order and each sublist already respects it, so
-  // the sort is a deterministic k-way merge — byte-identical to the flat
-  // substrate's posting list when no shard fired.
-  size_t total = 0;
-  for (const auto& list : per_shard) total += list.size();
-  std::vector<AliasPosting> merged;
-  merged.reserve(total);
-  for (const auto& list : per_shard) {
-    merged.insert(merged.end(), list.begin(), list.end());
-  }
-  std::sort(merged.begin(), merged.end(), CanonicalPostingOrder);
-  return merged;
+  if (answering <= 1) return first;
+  // Gather: re-establish the canonical order.  The comparator is a total
+  // order and each sublist already respects it, so the sort is a
+  // deterministic k-way merge — the very list a 1-shard layout of the same
+  // KB holds when no shard fired.
+  std::sort(merged->begin(), merged->end(), CanonicalPostingOrder);
+  return *merged;
 }
 
 std::vector<EntityCandidate> ShardedKb::CandidateEntities(
     std::string_view surface, std::optional<EntityType> type,
     int max_candidates, int* overflow) const {
+  std::vector<AliasPosting> merged;
   return SelectCandidates<EntityCandidate>(
-      ScatterLookup(surface, ConceptRef::Kind::kEntity), max_candidates,
-      overflow,
+      ScatterLookup(surface, ConceptRef::Kind::kEntity, &merged),
+      max_candidates, overflow,
       [&](const AliasPosting& posting) {
         return !type.has_value() ||
                entity(posting.concept_ref.id).type == *type;
@@ -291,9 +298,10 @@ std::vector<EntityCandidate> ShardedKb::CandidateEntities(
 
 std::vector<PredicateCandidate> ShardedKb::CandidatePredicates(
     std::string_view surface, int max_candidates, int* overflow) const {
+  std::vector<AliasPosting> merged;
   return SelectCandidates<PredicateCandidate>(
-      ScatterLookup(surface, ConceptRef::Kind::kPredicate), max_candidates,
-      overflow, [](const AliasPosting&) { return true; },
+      ScatterLookup(surface, ConceptRef::Kind::kPredicate, &merged),
+      max_candidates, overflow, [](const AliasPosting&) { return true; },
       [](const AliasPosting& posting) {
         return PredicateCandidate{posting.concept_ref.id, posting.prior};
       });

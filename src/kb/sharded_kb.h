@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,10 @@ namespace kb {
 // Hash-partitioned KB substrate: N independent shards, each owning its own
 // alias index, record arrays, CSR fact arenas, and embedding matrix — the
 // local-process stand-in for sphinx-neo's distributed agent/source split,
-// and the unit a multi-process backend would route on.  See DESIGN.md §14.
+// and the unit a multi-process backend would route on.  It is the one
+// serving substrate: a flat TENETKB3 + TENETEMB1 pair loads as its 1-shard
+// layout, and live updates (kb/delta.h) apply shard by shard.  See
+// DESIGN.md §14.
 //
 // Layout (strided by concept id): concept c is homed on shard c % N at
 // local index c / N, for entities and predicates independently.  Alias
@@ -34,14 +38,18 @@ namespace kb {
 // per-concept fact sequence is complete on the concept's home shard, in
 // ascending global fact id order, and reads never cross shards.
 //
-// Determinism: per-shard posting sublists preserve the canonical order
-// (CanonicalPostingOrder, a total order), so the scatter/gather lookup
-// merges them back into exactly the flat substrate's list; candidate
+// Determinism: every per-shard posting list is in the canonical order
+// (CanonicalPostingOrder, a total order) — snapshots, partitions and delta
+// applies all keep it — so the scatter/gather lookup merges them back into
+// exactly the 1-shard layout's list, and a lookup that only one shard
+// answers hands that shard's list through unmerged; candidate
 // post-processing then runs the shared SelectCandidates sequence.  PRF,
-// degradation counts and coherence edge lists are byte-identical to a flat
-// load of the same KB at any shard count — kb_shard_test.cc pins this.
+// degradation counts and coherence edge lists are byte-identical at any
+// shard count — kb_shard_test.cc and substrate_golden_test.cc pin this.
 //
-// Failure model: each per-shard lookup probes the "kb/shard" fault point.
+// Failure model: with two or more shards, each per-shard lookup probes the
+// "kb/shard" fault point (a 1-shard layout has no per-shard step: its
+// lookup is the alias index's own, behind "kb/alias_lookup").
 // A fired shard contributes nothing to that lookup (its candidates are
 // simply missing — the request degrades exactly like an alias-index miss)
 // and is counted in tenet_kb_shard_degraded_lookups_total; the request
@@ -92,6 +100,20 @@ class ShardedKb final : public KbView {
                              const embedding::EmbeddingStore& embeddings,
                              int num_shards);
 
+  /// Home shard and local index of concept `id` in the strided layout.
+  static int HomeShard(int32_t id, int num_shards) {
+    return static_cast<int>(id % num_shards);
+  }
+  static int32_t LocalIndex(int32_t id, int num_shards) {
+    return id / num_shards;
+  }
+
+  /// Appends fact `t` with global id `fact_id` to the home shard of each
+  /// participant (subject, entity object, predicate), once per shard.
+  /// Fact ids must arrive ascending.
+  static void RouteFact(std::vector<Shard>& shards, const Triple& t,
+                        int64_t fact_id);
+
   /// Builds one shard's CSR arenas from its replicated fact array — the
   /// per-shard analogue of KnowledgeBase::Finalize's counted two-pass.
   static void BuildShardIndexes(Shard& shard, int num_shards,
@@ -102,11 +124,21 @@ class ShardedKb final : public KbView {
   /// manifest at `manifest_path` naming them.  Implemented in kb/io.cc.
   Status Save(const std::string& manifest_path) const;
 
-  /// Loads a layout written by Save().  Each shard's snapshot is mmap'd on
-  /// demand and validated independently; per-shard load latency and mapped
-  /// bytes are published under the shard metrics.  Implemented in
-  /// kb/io.cc.
-  static Result<ShardedKb> Load(const std::string& manifest_path,
+  /// Persists a 1-shard layout as the flat pair: a TENETKB3 snapshot at
+  /// `kb_path` and its TENETEMB1 matrix at `embeddings_path`.  Implemented
+  /// in kb/io.cc.
+  Status SaveFlat(const std::string& kb_path,
+                  const std::string& embeddings_path) const;
+
+  /// The one KB loader.  `path` names either a TENETKBSHARDS1 manifest
+  /// written by Save() (`embeddings_path` is then unused: the manifest
+  /// names every shard's matrix) or a flat TENETKB3 snapshot, which loads
+  /// with the TENETEMB1 matrix at `embeddings_path` as the 1-shard layout.
+  /// Each snapshot is mmap'd on demand and validated independently;
+  /// per-shard load latency and mapped bytes are published under the shard
+  /// metrics.  Implemented in kb/io.cc.
+  static Result<ShardedKb> Load(const std::string& path,
+                                const std::string& embeddings_path = {},
                                 const KbLoadOptions& options = {});
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -143,9 +175,12 @@ class ShardedKb final : public KbView {
 
  private:
   /// Scatter/gather: per-shard alias lookups (each behind the "kb/shard"
-  /// fault point), merged back into the canonical global posting order.
-  std::vector<AliasPosting> ScatterLookup(std::string_view surface,
-                                          ConceptRef::Kind kind) const;
+  /// fault point), in the canonical global posting order.  When at most
+  /// one shard answers, the result borrows that shard's list; otherwise
+  /// the lists are merged into `merged`, which the result then views.
+  std::span<const AliasPosting> ScatterLookup(
+      std::string_view surface, ConceptRef::Kind kind,
+      std::vector<AliasPosting>* merged) const;
 
   std::vector<Shard> shards_;
   int32_t num_entities_ = 0;

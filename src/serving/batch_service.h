@@ -185,8 +185,10 @@ class BatchLinkingService {
   Status SwapGeneration(std::shared_ptr<const KbGeneration> next);
 
   /// Schedules the merge on the worker pool: compact the current
-  /// generation into a fresh TENETKB3/TENETEMB1 pair at the given paths
-  /// (atomic writes), reload it as generation `next_id`, and swap it in.
+  /// generation at the given paths (KbGeneration::Compact: a fresh
+  /// TENETKB3/TENETEMB1 pair, or a TENETKBSHARDS1 layout at `kb_path` for
+  /// more than one shard; atomic writes), reload it as generation
+  /// `next_id`, and swap it in.
   /// Any failure — write, reload, or swap — rolls back to the serving
   /// generation.  `done` (optional) receives the outcome from the worker.
   /// kResourceExhausted if the queue refuses the merge task.

@@ -20,59 +20,62 @@
 namespace tenet {
 namespace serving {
 
-// One immutable, self-contained serving substrate: a KB snapshot with any
-// number of TENETDELTA1 segments applied, plus the embedding store, the
-// derived gazetteer, and a TenetLinker built over all of it (DESIGN.md
-// §12).  This is the unit the serving layer hot-swaps: requests pin a
-// generation for their whole lifetime, so everything here must be — and
-// is — immutable after construction.
+// One immutable, self-contained serving substrate: a KB layout with any
+// number of TENETDELTA1 segments applied, plus the derived gazetteer and a
+// TenetLinker built over both (DESIGN.md §12).  The layout is always a
+// ShardedKb — a flat snapshot pair is its 1-shard layout (DESIGN.md §14) —
+// so every feature (live updates, compaction) works at every shard count.
+// This is the unit the serving layer hot-swaps: requests pin a generation
+// for their whole lifetime, so everything here must be — and is —
+// immutable after construction.
 //
 // Generations are heap-only (shared_ptr from the factories, never moved):
-// the linker holds raw pointers into the sibling members, which therefore
-// must sit at their final addresses before it is built.  The `id` is the
-// monotonically increasing generation number the caller assigns; the
+// the linker holds a raw pointer to the sibling gazetteer, which therefore
+// must sit at its final address before the linker is built.  The `id` is
+// the monotonically increasing generation number the caller assigns; the
 // serving layer requires each published generation's id to exceed the one
-// it replaces.  Every factory takes the pipeline tuning of the generation's
-// linker; WithDeltas inherits it from the receiver.
+// it replaces.  Every factory takes the pipeline tuning of the
+// generation's linker; WithDeltas inherits it from the receiver.
 class KbGeneration {
  public:
-  /// Loads the snapshot pair and applies `delta_paths` in order.
+  /// Loads a KB — a flat snapshot pair, or a TENETKBSHARDS1 manifest at
+  /// `kb_path` (whose shards name their own embeddings) — and applies
+  /// `delta_paths` in order.
   static Result<std::shared_ptr<const KbGeneration>> Load(
       const std::string& kb_path, const std::string& embeddings_path,
       std::span<const std::string> delta_paths, uint64_t id,
       const core::TenetOptions& options = {});
 
-  /// Loads a sharded layout ("TENETKBSHARDS1" manifest, DESIGN.md §14) and
-  /// serves it through the same linker stack: candidate generation runs
-  /// scatter/gather across the shards, everything downstream is identical.
-  /// Sharded generations are read-only substrates — WithDeltas and Compact
-  /// reject them (write a new sharded layout offline instead).
+  /// Loads a sharded layout from its TENETKBSHARDS1 manifest; candidate
+  /// generation runs scatter/gather across the shards, everything
+  /// downstream is identical.
   static Result<std::shared_ptr<const KbGeneration>> LoadSharded(
       const std::string& manifest_path, uint64_t id,
       const core::TenetOptions& options = {});
 
-  /// Wraps an already-built substrate (both must be finalized).
+  /// Serves an already-built flat substrate (both finalized) as its 1-shard
+  /// layout; the arguments are copied, not kept.
   static std::shared_ptr<const KbGeneration> FromSubstrate(
-      kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
-      const core::TenetOptions& options = {});
+      const kb::KnowledgeBase& kb, const embedding::EmbeddingStore& embeddings,
+      uint64_t id, const core::TenetOptions& options = {});
 
-  /// Wraps an already-built sharded substrate (same contract as
-  /// LoadSharded).
+  /// Serves an already-built layout.
   static std::shared_ptr<const KbGeneration> FromShardedKb(
       std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
       const core::TenetOptions& options = {});
 
-  /// A new generation = this one + `segments` (applied in order), linked
-  /// with this generation's pipeline options.  The receiver is untouched
-  /// and keeps serving.  kInvalidArgument on a sharded generation.
+  /// A new generation = this one + `segments` (applied in order, shard by
+  /// shard), linked with this generation's pipeline options.  The receiver
+  /// is untouched and keeps serving.
   Result<std::shared_ptr<const KbGeneration>> WithDeltas(
       std::span<const kb::DeltaSegment> segments, uint64_t id) const;
 
-  /// Persists this generation as a fresh TENETKB3 + TENETEMB1 pair — the
-  /// merge step that folds applied deltas back into a base snapshot.  Both
-  /// writes are atomic; a crash between the two leaves a loadable (if
-  /// mismatched-by-one) pair, never a torn file.  kInvalidArgument on a
-  /// sharded generation (its layout is already on disk, shard by shard).
+  /// Persists this generation, folding applied deltas back into a base
+  /// snapshot: a 1-shard layout as a fresh TENETKB3 + TENETEMB1 pair, an
+  /// N-shard one as a TENETKBSHARDS1 manifest at `kb_path` with its shard
+  /// files beside it (`embeddings_path` is then unused).  Every write is
+  /// atomic; a crash between two leaves loadable (if mismatched-by-one)
+  /// files, never a torn one.
   Status Compact(const std::string& kb_path,
                  const std::string& embeddings_path) const;
 
@@ -80,16 +83,11 @@ class KbGeneration {
   KbGeneration& operator=(const KbGeneration&) = delete;
 
   uint64_t id() const { return id_; }
-  /// True when this generation serves a sharded substrate; kb() and
-  /// embeddings() must not be called on it.
-  bool sharded() const { return sharded_ != nullptr; }
-  /// The substrate behind the generation's linker — always valid, flat or
-  /// sharded.
-  const kb::KbView& view() const { return *view_; }
-  /// The sharded substrate (null for flat generations).
-  const kb::ShardedKb* sharded_kb() const { return sharded_.get(); }
-  const kb::KnowledgeBase& kb() const;
-  const embedding::EmbeddingStore& embeddings() const;
+  /// The substrate behind the generation's linker.  kb() and embeddings()
+  /// name the same layout (it serves records and vectors alike).
+  const kb::KbView& view() const { return *kb_; }
+  const kb::ShardedKb& kb() const { return *kb_; }
+  const kb::ShardedKb& embeddings() const { return *kb_; }
   const text::Gazetteer& gazetteer() const { return gazetteer_; }
   const baselines::TenetLinker& linker() const { return *linker_; }
   /// Cumulative apply stats across every delta folded into this generation
@@ -97,22 +95,14 @@ class KbGeneration {
   const kb::DeltaApplyStats& delta_stats() const { return delta_stats_; }
 
  private:
-  KbGeneration(kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings,
-               uint64_t id, kb::DeltaApplyStats delta_stats,
-               const core::TenetOptions& options);
-  KbGeneration(std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
+  KbGeneration(std::shared_ptr<const kb::ShardedKb> kb, uint64_t id,
+               kb::DeltaApplyStats delta_stats,
                const core::TenetOptions& options);
 
   const uint64_t id_;
-  // Flat substrate (empty for sharded generations).
-  kb::KnowledgeBase kb_;
-  embedding::EmbeddingStore embeddings_;
-  // Sharded substrate (null for flat generations).
-  std::shared_ptr<const kb::ShardedKb> sharded_;
-  // The one handle the linker consumes, whatever the substrate shape.
-  std::shared_ptr<const kb::KbView> view_;
-  text::Gazetteer gazetteer_;
-  kb::DeltaApplyStats delta_stats_;
+  const std::shared_ptr<const kb::ShardedKb> kb_;
+  const text::Gazetteer gazetteer_;
+  const kb::DeltaApplyStats delta_stats_;
   std::unique_ptr<baselines::TenetLinker> linker_;
 };
 

@@ -64,27 +64,6 @@ void SessionContext::ObserveTurn(const core::LinkingResult& result) {
 
 SessionTurnStats SessionContext::ApplySessionCoherence(
     const kb::KbView& view, core::LinkingResult* result) {
-  return ApplySessionCoherenceImpl(
-      [&view](const std::string& surface, std::optional<kb::EntityType> type,
-              int max_candidates) {
-        return view.CandidateEntities(surface, type, max_candidates);
-      },
-      result);
-}
-
-SessionTurnStats SessionContext::ApplySessionCoherence(
-    const kb::KnowledgeBase& kb, core::LinkingResult* result) {
-  return ApplySessionCoherenceImpl(
-      [&kb](const std::string& surface, std::optional<kb::EntityType> type,
-            int max_candidates) {
-        return kb.CandidateEntities(surface, type, max_candidates);
-      },
-      result);
-}
-
-template <typename CandidateFn>
-SessionTurnStats SessionContext::ApplySessionCoherenceImpl(
-    CandidateFn&& candidate_fn, core::LinkingResult* result) {
   SessionTurnStats stats;
   if (!options_.apply_entity_memory || turns_observed_ == 0 ||
       result == nullptr) {
@@ -109,7 +88,7 @@ SessionTurnStats SessionContext::ApplySessionCoherenceImpl(
     }
     const core::Mention& mention = result->mentions.mention(link.mention_id);
     const kb::EntityCandidate* best_seen = nullptr;
-    std::vector<kb::EntityCandidate> candidates = candidate_fn(
+    std::vector<kb::EntityCandidate> candidates = view.CandidateEntities(
         link.surface, mention.type, options_.memory_probe_candidates);
     for (const kb::EntityCandidate& c : candidates) {
       if (seen_entities_.count(c.entity) == 0) continue;

@@ -11,7 +11,6 @@
 #include "core/pipeline.h"
 #include "embedding/similarity_cache.h"
 #include "kb/kb_view.h"
-#include "kb/knowledge_base.h"
 
 namespace tenet {
 namespace serving {
@@ -68,13 +67,8 @@ class SessionContext {
 
   /// Re-ranks `result` against the session's entity memory (no-op on the
   /// first turn or when apply_entity_memory is off).  Call before scoring
-  /// and before ObserveTurn.  Works against any KbView substrate (flat or
-  /// sharded).
+  /// and before ObserveTurn.
   SessionTurnStats ApplySessionCoherence(const kb::KbView& view,
-                                         core::LinkingResult* result);
-
-  /// Convenience over the flat substrate.
-  SessionTurnStats ApplySessionCoherence(const kb::KnowledgeBase& kb,
                                          core::LinkingResult* result);
 
   /// Records a turn's resolved entities into the session memory.
@@ -87,12 +81,6 @@ class SessionContext {
  private:
   void Remember(const std::string& surface, kb::EntityId entity,
                 double prior);
-
-  /// Shared body of both overloads; `candidates` yields the KB candidates
-  /// of a surface under the substrate at hand.
-  template <typename CandidateFn>
-  SessionTurnStats ApplySessionCoherenceImpl(CandidateFn&& candidates,
-                                             core::LinkingResult* result);
 
   SessionOptions options_;
   std::unique_ptr<embedding::SimilarityCache> cache_;

@@ -6,14 +6,18 @@
 //   #include "tenet.h"
 //
 //   // 1. Substrates: a knowledge base, concept embeddings, a gazetteer.
-//   tenet::kb::KnowledgeBase kb = ...;            // or kb::LoadKnowledgeBase
+//   tenet::kb::KnowledgeBase kb = ...;
 //   tenet::embedding::EmbeddingStore vectors =
 //       tenet::embedding::StructuralEmbeddingTrainer().Train(kb, rng);
-//   tenet::text::Gazetteer gazetteer = tenet::kb::DeriveGazetteer(kb);
+//   tenet::text::Gazetteer gazetteer =
+//       tenet::kb::DeriveGazetteer(tenet::kb::FlatKbView(&kb, &vectors));
 //
 //   // 2. Link documents.
 //   tenet::core::TenetPipeline pipeline(&kb, &vectors, &gazetteer);
 //   auto result = pipeline.LinkDocument(text);
+//
+//   // Serving loads a snapshot (or sharded layout) as a KbGeneration
+//   // instead: serving::KbGeneration::Load(kb_path, emb_path, {}, id).
 //
 //   // 3. Optional: harvest KB-population candidates.
 //   tenet::core::KbPopulator populator(&kb);

@@ -29,6 +29,7 @@
 #include "kb/alias_index.h"
 #include "kb/delta.h"
 #include "kb/io.h"
+#include "kb/sharded_kb.h"
 #include "kb/synthetic_kb.h"
 
 namespace tenet {
@@ -296,7 +297,9 @@ TEST(AliasDictPropertyTest, PostDeltaOverlaySharesDictAndMatchesReplica) {
                                        base.num_predicates());
   embeddings.Finalize();
 
-  DeltaBuilder builder(base);
+  const ShardedKb layout = ShardedKb::Partition(base, embeddings, 1);
+  const AliasIndex& base_index = layout.shard(0).alias_index;
+  DeltaBuilder builder(layout);
   const std::string adjusted = base.entity(0).label;
   builder.AdjustEntityAliasPrior(0, adjusted, 3.5);
   EntityId added = builder.AddEntity("Delta Added Entity",
@@ -306,14 +309,13 @@ TEST(AliasDictPropertyTest, PostDeltaOverlaySharesDictAndMatchesReplica) {
   builder.TombstoneEntity(2);
   DeltaSegment segment = builder.Build();
 
-  Result<AppliedDelta> applied =
-      ApplyDeltas(base, embeddings, std::span(&segment, 1));
+  Result<AppliedDelta> applied = ApplyDeltas(layout, std::span(&segment, 1));
   ASSERT_TRUE(applied.ok()) << applied.status();
-  const AliasIndex& updated = applied->kb.alias_index();
+  const AliasIndex& updated = applied->kb.shard(0).alias_index;
 
   // The frozen tier is *shared* with the base — deltas never copy it —
   // and every touched surface lives in the overlay.
-  EXPECT_EQ(updated.frozen_dict().get(), base.alias_index().frozen_dict().get());
+  EXPECT_EQ(updated.frozen_dict().get(), base_index.frozen_dict().get());
   EXPECT_FALSE(updated.overlay().empty());
 
   Replica replica = Replica::Of(updated);
@@ -369,10 +371,16 @@ TEST(AliasDictSnapshotTest, SnapshotBytesAreDeterministic) {
 
   // Save -> load -> save reproduces the same bytes (the dictionary
   // serializes surfaces in sorted folded order, not hash order).
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path_a);
+  embedding::EmbeddingStore embeddings(4, world.kb.num_entities(),
+                                       world.kb.num_predicates());
+  embeddings.Finalize();
+  std::string emb_path = TempPath("dict_det_a.tenetemb");
+  ASSERT_TRUE(SaveEmbeddings(embeddings, emb_path).ok());
+  Result<ShardedKb> loaded = ShardedKb::Load(path_a, emb_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   std::string path_c = TempPath("dict_det_c.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(*loaded, path_c).ok());
+  ASSERT_TRUE(
+      loaded->SaveFlat(path_c, TempPath("dict_det_c.tenetemb")).ok());
   EXPECT_EQ(ReadFileBytes(path_a), ReadFileBytes(path_c));
 }
 
@@ -426,6 +434,10 @@ class AliasDictCorruptionTest : public ::testing::Test {
     SyntheticKb world = SyntheticKbGenerator(options).Generate(rng);
     path_ = TempPath("dict_corrupt.tenetkb");
     ASSERT_TRUE(SaveKnowledgeBase(world.kb, path_).ok());
+    embedding::EmbeddingStore embeddings(4, world.kb.num_entities(),
+                                         world.kb.num_predicates());
+    embeddings.Finalize();
+    ASSERT_TRUE(SaveEmbeddings(embeddings, path_ + ".emb").ok());
     bytes_ = ReadFileBytes(path_);
     dict_ = FindDictSection(bytes_);
     ASSERT_GT(dict_.size, 56u);
@@ -435,7 +447,7 @@ class AliasDictCorruptionTest : public ::testing::Test {
   // Writes the corrupted bytes and expects a clean kInvalidArgument.
   void ExpectRejected(const std::string& bytes, const char* what) {
     WriteFile(path_, bytes);
-    Result<KnowledgeBase> loaded = LoadKnowledgeBase(path_);
+    Result<ShardedKb> loaded = ShardedKb::Load(path_, path_ + ".emb");
     ASSERT_FALSE(loaded.ok()) << what;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
   }
@@ -451,7 +463,7 @@ TEST_F(AliasDictCorruptionTest, PayloadBitFlipFailsTheChecksum) {
   // checksum stale.
   bytes[dict_.offset + dict_.size - 4] ^= 0x01;
   WriteFile(path_, bytes);
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path_);
+  Result<ShardedKb> loaded = ShardedKb::Load(path_, path_ + ".emb");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos)

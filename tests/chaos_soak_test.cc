@@ -31,6 +31,7 @@
 #include "datasets/session_generator.h"
 #include "datasets/world.h"
 #include "kb/delta.h"
+#include "kb/sharded_kb.h"
 #include "kb/types.h"
 #include "obs/metrics.h"
 #include "serving/batch_service.h"
@@ -69,8 +70,7 @@ class ChaosSoakTest : public ::testing::Test {
          generator.Generate(spec, rng).documents) {
       texts_.push_back(doc.text);
     }
-    generation_ = KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
-                                              std::move(world.embeddings),
+    generation_ = KbGeneration::FromSubstrate(world.kb(), world.embeddings,
                                               /*id=*/1);
 
     ServingOptions options;
@@ -278,8 +278,9 @@ TEST_F(ChaosSoakTest, SurvivesFaultStormsAndRecovers) {
 // faults injected at 10%.  The acceptance contract: the service survives,
 // failed swaps roll back (the old generation keeps serving), in-flight
 // requests all resolve, the ledger balances, and afterwards the serving
-// generation is exactly base + one entity per *successful* swap.
-class SwapStormTest : public ::testing::Test {
+// generation is exactly base + one entity per *successful* swap.  The
+// storm runs on a 1-shard and a 2-shard layout: deltas apply per shard.
+class SwapStormTest : public ::testing::TestWithParam<int> {
  protected:
   SwapStormTest() {
     datasets::SyntheticWorld world = datasets::BuildWorld();
@@ -291,11 +292,11 @@ class SwapStormTest : public ::testing::Test {
          generator.Generate(spec, rng).documents) {
       texts_.push_back(doc.text);
     }
-    // The corpus is generated; the world's substrate can now move into
-    // generation 1, which owns it for the rest of the storm.
-    generation_ = KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
-                                              std::move(world.embeddings),
-                                              /*id=*/1);
+    // Generation 1 serves the world as a GetParam()-shard layout.
+    generation_ = KbGeneration::FromShardedKb(
+        std::make_shared<const kb::ShardedKb>(kb::ShardedKb::Partition(
+            world.kb(), world.embeddings, GetParam())),
+        /*id=*/1);
     base_entities_ = generation_->kb().num_entities();
 
     ServingOptions options;
@@ -314,7 +315,7 @@ class SwapStormTest : public ::testing::Test {
   Tally tally_;
 };
 
-TEST_F(SwapStormTest, SurvivesAHundredFaultySwapsUnderConcurrentLoad) {
+TEST_P(SwapStormTest, SurvivesAHundredFaultySwapsUnderConcurrentLoad) {
   constexpr int kSwapAttempts = 120;  // acceptance floor is 100
   FaultInjector faults(424242);
   faults.Arm("serving/kb_swap", 0.10);
@@ -410,7 +411,10 @@ TEST_F(SwapStormTest, SurvivesAHundredFaultySwapsUnderConcurrentLoad) {
   EXPECT_EQ(tally_.failed.load(), 0);
   EXPECT_GT(tally_.full.load(), 0);
   EXPECT_GT(stats.completed, 0);
+  EXPECT_EQ(service_->generation()->kb().num_shards(), GetParam());
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, SwapStormTest, ::testing::Values(1, 2));
 
 // The hostile-input storm (`adversarial` tier, DESIGN.md §13): driver
 // threads push clean and adversarially mutated corpora through the service
@@ -442,8 +446,7 @@ class HostileStormTest : public ::testing::Test {
     datasets::SessionSpec session_spec;
     session_spec.num_sessions = kDriverThreads;
     sessions_ = session_generator.Generate(session_spec, rng);
-    generation_ = KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
-                                              std::move(world.embeddings),
+    generation_ = KbGeneration::FromSubstrate(world.kb(), world.embeddings,
                                               /*id=*/1);
 
     ServingOptions options;
@@ -518,7 +521,7 @@ TEST_F(HostileStormTest, SurvivesHostileInputsAndConcurrentSessions) {
         if (served.size() == 1 && !served[0].shed && served[0].result.ok()) {
           core::LinkingResult result = *served[0].result;
           SessionTurnStats stats =
-              context.ApplySessionCoherence(generation_->kb(), &result);
+              context.ApplySessionCoherence(generation_->view(), &result);
           session_interventions.fetch_add(stats.relinked_to_memory +
                                           stats.isolated_resolved);
           context.ObserveTurn(result);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/pipeline.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
+#include "kb/kb_view.h"
 #include "kb/sharded_kb.h"
 #include "kb/synthetic_kb.h"
 
@@ -28,6 +30,21 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+// Saves `kb` as a flat snapshot pair: the TENETKB3 snapshot at `path` and
+// a zero TENETEMB1 matrix (dimension 4) at `path` + ".emb".
+Status SaveFlatPair(const KnowledgeBase& kb, const std::string& path) {
+  embedding::EmbeddingStore embeddings(4, kb.num_entities(),
+                                       kb.num_predicates());
+  embeddings.Finalize();
+  Status saved = SaveKnowledgeBase(kb, path);
+  return saved.ok() ? SaveEmbeddings(embeddings, path + ".emb") : saved;
+}
+
+// The one loader over a pair written by SaveFlatPair: the 1-shard layout.
+Result<ShardedKb> LoadFlatPair(const std::string& path) {
+  return ShardedKb::Load(path, path + ".emb");
+}
+
 TEST(KbIoTest, KnowledgeBaseRoundTrip) {
   Rng rng(61);
   SyntheticKbOptions options;
@@ -37,12 +54,13 @@ TEST(KbIoTest, KnowledgeBaseRoundTrip) {
   SyntheticKb world = SyntheticKbGenerator(options).Generate(rng);
 
   std::string path = TempPath("kb_roundtrip.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(world.kb, path).ok());
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  ASSERT_TRUE(SaveFlatPair(world.kb, path).ok());
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   const KnowledgeBase& a = world.kb;
-  const KnowledgeBase& b = loaded.value();
+  const ShardedKb& b = loaded.value();
+  ASSERT_EQ(b.num_shards(), 1);
   ASSERT_EQ(a.num_entities(), b.num_entities());
   ASSERT_EQ(a.num_predicates(), b.num_predicates());
   ASSERT_EQ(a.num_facts(), b.num_facts());
@@ -52,10 +70,12 @@ TEST(KbIoTest, KnowledgeBaseRoundTrip) {
     EXPECT_EQ(a.entity(id).domain, b.entity(id).domain);
     EXPECT_DOUBLE_EQ(a.entity(id).popularity, b.entity(id).popularity);
   }
+  const std::vector<Triple>& b_facts = b.shard(0).facts;
   for (int32_t i = 0; i < a.num_facts(); ++i) {
-    EXPECT_EQ(a.facts()[i].subject, b.facts()[i].subject);
-    EXPECT_EQ(a.facts()[i].predicate, b.facts()[i].predicate);
-    EXPECT_EQ(a.facts()[i].object_is_entity, b.facts()[i].object_is_entity);
+    EXPECT_EQ(a.facts()[i].subject, b_facts[i].subject);
+    EXPECT_EQ(a.facts()[i].predicate, b_facts[i].predicate);
+    EXPECT_EQ(a.facts()[i].object_is_entity, b_facts[i].object_is_entity);
+    EXPECT_EQ(b.shard(0).fact_ids[i], i);
   }
 
   // Candidate distributions round-trip exactly (priors are re-normalized
@@ -82,12 +102,12 @@ TEST(KbIoTest, LiteralFactsRoundTrip) {
   kb.Finalize();
 
   std::string path = TempPath("kb_literal.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(kb, path).ok());
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  ASSERT_TRUE(SaveFlatPair(kb, path).ok());
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->num_facts(), 1);
-  EXPECT_FALSE(loaded->facts()[0].object_is_entity);
-  EXPECT_EQ(loaded->facts()[0].object_literal, "1898");
+  EXPECT_FALSE(loaded->shard(0).facts[0].object_is_entity);
+  EXPECT_EQ(loaded->shard(0).facts[0].object_literal, "1898");
 }
 
 TEST(KbIoTest, LoadRejectsGarbage) {
@@ -96,7 +116,7 @@ TEST(KbIoTest, LoadRejectsGarbage) {
     std::ofstream out(path);
     out << "definitely not a kb\n";
   }
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsInvalidArgument());
 }
@@ -118,12 +138,11 @@ TEST(KbIoTest, LoadRejectsTruncatedFile) {
     std::ofstream out(path, std::ios::trunc);
     out << head;
   }
-  EXPECT_FALSE(LoadKnowledgeBase(path).ok());
+  EXPECT_FALSE(LoadFlatPair(path).ok());
 }
 
 TEST(KbIoTest, LoadRejectsMissingFile) {
-  Result<KnowledgeBase> loaded =
-      LoadKnowledgeBase(TempPath("does_not_exist.tenetkb"));
+  Result<ShardedKb> loaded = LoadFlatPair(TempPath("does_not_exist.tenetkb"));
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsNotFound());
 }
@@ -193,7 +212,11 @@ TEST(KbIoTest, DeriveGazetteerCoversAliasSurfaces) {
   options.num_predicates = 8;
   SyntheticKb world = SyntheticKbGenerator(options).Generate(rng);
 
-  text::Gazetteer derived = DeriveGazetteer(world.kb);
+  embedding::EmbeddingStore embeddings(4, world.kb.num_entities(),
+                                       world.kb.num_predicates());
+  embeddings.Finalize();
+  text::Gazetteer derived =
+      DeriveGazetteer(FlatKbView(&world.kb, &embeddings));
   for (EntityId id = 0; id < world.kb.num_entities(); ++id) {
     for (const std::string& surface : world.entity_surfaces[id]) {
       EXPECT_TRUE(derived.Contains(surface)) << surface;
@@ -213,15 +236,14 @@ TEST(KbIoTest, ReloadedWorldLinksIdentically) {
   std::string emb_path = TempPath("roundtrip_world.tenetemb");
   ASSERT_TRUE(SaveKnowledgeBase(world.kb(), kb_path).ok());
   ASSERT_TRUE(SaveEmbeddings(world.embeddings, emb_path).ok());
-  Result<KnowledgeBase> kb2 = LoadKnowledgeBase(kb_path);
-  Result<embedding::EmbeddingStore> emb2 = LoadEmbeddings(emb_path);
-  ASSERT_TRUE(kb2.ok());
-  ASSERT_TRUE(emb2.ok());
-  text::Gazetteer gazetteer2 = DeriveGazetteer(*kb2);
+  Result<ShardedKb> kb2 = ShardedKb::Load(kb_path, emb_path);
+  ASSERT_TRUE(kb2.ok()) << kb2.status();
+  auto view = std::make_shared<const ShardedKb>(std::move(*kb2));
+  text::Gazetteer gazetteer2 = DeriveGazetteer(*view);
 
   core::TenetPipeline original(&world.kb(), &world.embeddings,
                                &world.gazetteer());
-  core::TenetPipeline reloaded(&kb2.value(), &emb2.value(), &gazetteer2);
+  core::TenetPipeline reloaded(view, &gazetteer2);
 
   datasets::CorpusGenerator gen(&world.kb_world);
   Rng rng(63);
@@ -270,9 +292,9 @@ std::string ReadFileBytes(const std::string& path) {
 using PostingRows =
     std::vector<std::tuple<std::string, ConceptRef::Kind, int32_t, double>>;
 
-PostingRows AllPostings(const KnowledgeBase& kb) {
+PostingRows AllPostings(const AliasIndex& index) {
   PostingRows rows;
-  kb.alias_index().VisitPostings(
+  index.VisitPostings(
       [&rows](std::string_view surface, const AliasPosting& posting) {
         rows.emplace_back(std::string(surface), posting.concept_ref.kind,
                           posting.concept_ref.id, posting.prior);
@@ -291,20 +313,21 @@ TEST(KbIoTest, PriorsRoundTripBitExact) {
   options.num_domains = 5;
   options.entities_per_domain = 30;
   SyntheticKb world = SyntheticKbGenerator(options).Generate(rng);
-  PostingRows original = AllPostings(world.kb);
+  PostingRows original = AllPostings(world.kb.alias_index());
   ASSERT_FALSE(original.empty());
 
   std::string path = TempPath("prior_exact.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(world.kb, path).ok());
-  Result<KnowledgeBase> gen1 = LoadKnowledgeBase(path);
+  ASSERT_TRUE(SaveFlatPair(world.kb, path).ok());
+  Result<ShardedKb> gen1 = LoadFlatPair(path);
   ASSERT_TRUE(gen1.ok()) << gen1.status();
-  EXPECT_EQ(AllPostings(*gen1), original);
+  EXPECT_EQ(AllPostings(gen1->shard(0).alias_index), original);
 
-  // Second generation: save the loaded KB and load again — still exact.
-  ASSERT_TRUE(SaveKnowledgeBase(*gen1, path).ok());
-  Result<KnowledgeBase> gen2 = LoadKnowledgeBase(path);
+  // Second generation: save the loaded layout and load again — still
+  // exact.
+  ASSERT_TRUE(gen1->SaveFlat(path, path + ".emb").ok());
+  Result<ShardedKb> gen2 = LoadFlatPair(path);
   ASSERT_TRUE(gen2.ok()) << gen2.status();
-  EXPECT_EQ(AllPostings(*gen2), original);
+  EXPECT_EQ(AllPostings(gen2->shard(0).alias_index), original);
 }
 
 // --- TENETKB3 corruption matrix --------------------------------------------
@@ -354,7 +377,7 @@ SyntheticKb MatrixWorld() {
 
 std::string SavedBinaryKb(const std::string& name) {
   std::string path = TempPath(name);
-  EXPECT_TRUE(SaveKnowledgeBase(MatrixWorld().kb, path).ok());
+  EXPECT_TRUE(SaveFlatPair(MatrixWorld().kb, path).ok());
   return path;
 }
 
@@ -409,7 +432,8 @@ TEST(KbIoCorruptionTest, BinaryTruncationAtEverySectionBoundaryIsRejected) {
   ExpectEveryBoundaryCutRejected(content, [](const std::string& prefix) {
     std::string truncated_path = TempPath("matrix_truncated.tenetkb");
     WriteFile(truncated_path, prefix);
-    return LoadKnowledgeBase(truncated_path).status();
+    return ShardedKb::Load(truncated_path, truncated_path + ".unused")
+        .status();
   });
 
   // Shard 0 of a 2-shard layout runs the same decoder, through the
@@ -427,7 +451,7 @@ TEST(KbIoCorruptionTest, BytesAfterAValidSnapshotAreRejected) {
   std::string path = SavedBinaryKb("trailing.tenetkb");
   std::string content = ReadFileBytes(path);
   WriteFile(path, content + "one more line\n");
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -441,7 +465,7 @@ TEST(KbIoCorruptionTest, OldFormatVersionIsRejectedWithRebuildHint) {
   ASSERT_EQ(content.substr(0, 8), "TENETKB3");
   content[7] = '2';
   WriteFile(path, content);
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   Result<KbFileInfo> inspected = InspectKnowledgeBaseFile(path);
   for (const Status& status : {loaded.status(), inspected.status()}) {
     ASSERT_FALSE(status.ok());
@@ -468,12 +492,36 @@ TEST(KbIoCorruptionTest, FactWithOutOfRangeObjectEntityIsRejected) {
               sizeof(entity_object));
   std::memcpy(content.data() + facts.offset + 12, &bogus, sizeof(bogus));
   WriteFile(path, content);
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- shard snapshots: what only the manifest loader can check --------------
+// --- flat pairs and shard snapshots: what the one loader checks ------------
+
+TEST(KbIoCorruptionTest, ShardSnapshotLoadedAsAFlatPairIsRejected) {
+  // One shard on its own is not a whole KB: loading it as a flat snapshot
+  // must name the manifest route, never serve a fraction of the KB.
+  std::string manifest = SavedTwoShardLayout("matrix_alone.tenetshards");
+  Result<ShardedKb> loaded = ShardedKb::Load(manifest + ".s0.tenetkb",
+                                             manifest + ".s0.emb");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("manifest"), std::string::npos)
+      << loaded.status();
+}
+
+TEST(KbIoCorruptionTest, FlatPairWithMismatchedEmbeddingsIsRejected) {
+  std::string path = SavedBinaryKb("matrix_mismatch.tenetkb");
+  ASSERT_TRUE(SaveFlatPair(TinyKb(), TempPath("tiny_pair.tenetkb")).ok());
+  Result<ShardedKb> loaded =
+      ShardedKb::Load(path, TempPath("tiny_pair.tenetkb.emb"));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("disagree"), std::string::npos)
+      << loaded.status();
+}
+
 
 TEST(KbIoCorruptionTest, ShardInfoDisagreeingWithTheManifestIsRejected) {
   std::string manifest = SavedTwoShardLayout("matrix_info.tenetshards");
@@ -534,7 +582,7 @@ TEST(KbIoCorruptionTest, BinaryChecksumMismatchIsRejected) {
   // exactly these bytes, so the load must fail before touching payloads.
   content[40] = static_cast<char>(content[40] ^ 0x01);
   WriteFile(path, content);
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos);
@@ -550,7 +598,7 @@ TEST(KbIoCorruptionTest, BinaryNonMonotonicStringTableIsRejected) {
   uint64_t huge = ~uint64_t{0};
   std::memcpy(content.data() + sections[0].offset, &huge, sizeof(huge));
   WriteFile(path, content);
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -574,7 +622,7 @@ TEST(KbIoCorruptionTest, BinaryAliasWithOutOfRangeEntityIdIsRejected) {
       Fnv1a64(content.data() + dict.offset + 8, dict.size - 8);
   std::memcpy(content.data() + dict.offset, &reseal, sizeof(reseal));
   WriteFile(path, content);
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -582,14 +630,14 @@ TEST(KbIoCorruptionTest, BinaryAliasWithOutOfRangeEntityIdIsRejected) {
 TEST(KbIoCorruptionTest, WrongMagicIsRejected) {
   std::string path = TempPath("wrong_magic.tenetkb");
   WriteFile(path, "NOTAKB v1\nE\t0\nP\t0\nA\t0\nF\t0\n");
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(KbIoCorruptionTest, TruncatedKbFileIsRejected) {
   std::string full_path = TempPath("truncate_source.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(TinyKb(), full_path).ok());
+  ASSERT_TRUE(SaveFlatPair(TinyKb(), full_path).ok());
   std::ifstream in(full_path, std::ios::binary);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
@@ -598,7 +646,7 @@ TEST(KbIoCorruptionTest, TruncatedKbFileIsRejected) {
   for (size_t cut = 0; cut + 1 < content.size(); cut += 7) {
     std::string path = TempPath("truncated.tenetkb");
     WriteFile(path, content.substr(0, cut));
-    Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+    Result<ShardedKb> loaded = ShardedKb::Load(path, full_path + ".emb");
     ASSERT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes";
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
@@ -646,7 +694,7 @@ TEST(KbIoCorruptionTest, InjectedWriteTruncationNeverPublishesATornFile) {
     EXPECT_TRUE(save.IsDataLoss());
     EXPECT_EQ(faults.FireCount("kb/io/write_truncation"), 1);
   }
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
   // The realistic crash residue is there, and loaders never look at it.
@@ -659,7 +707,7 @@ TEST(KbIoCorruptionTest, KillMidWriteLeavesThePreviousSnapshotIntact) {
   // (e.g. the background merge) must leave the previous generation's file
   // loadable, or a reboot after the crash has no KB at all.
   std::string path = TempPath("overwritten.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(TinyKb(), path).ok());
+  ASSERT_TRUE(SaveFlatPair(TinyKb(), path).ok());
 
   KnowledgeBase bigger;
   EntityId a = bigger.AddEntity("Alpha", EntityType::kPerson, 0, 2.0);
@@ -676,7 +724,7 @@ TEST(KbIoCorruptionTest, KillMidWriteLeavesThePreviousSnapshotIntact) {
   }
 
   // The old snapshot survives, byte-for-byte loadable.
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->num_entities(), TinyKb().num_entities());
 }
@@ -699,11 +747,11 @@ TEST(KbIoCorruptionTest, InjectedEmbeddingTruncationNeverPublishesATornFile) {
 
 TEST(KbIoCorruptionTest, LoaderFaultPointsSurfaceAsDataLoss) {
   std::string kb_path = TempPath("loader_fault.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(TinyKb(), kb_path).ok());
+  ASSERT_TRUE(SaveFlatPair(TinyKb(), kb_path).ok());
   FaultInjector faults(43);
   faults.Arm("kb/io/load_kb", 1.0);
   faults.Arm("kb/io/load_embeddings", 1.0);
-  EXPECT_TRUE(LoadKnowledgeBase(kb_path).status().IsDataLoss());
+  EXPECT_TRUE(LoadFlatPair(kb_path).status().IsDataLoss());
   EXPECT_TRUE(LoadEmbeddings("unused.tenetemb").status().IsDataLoss());
 }
 

@@ -3,7 +3,9 @@
 // byte-identical to the in-memory original, including the full/degraded
 // accounting.  This is the round-trip contract the persistence layer
 // exists to keep: a restart may never change what the system links.
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "datasets/world.h"
 #include "eval/harness.h"
 #include "kb/io.h"
+#include "kb/sharded_kb.h"
 
 namespace tenet {
 namespace eval {
@@ -28,12 +31,9 @@ void ExpectSamePRF(const PRF& a, const PRF& b, const char* what) {
   EXPECT_EQ(a.fn, b.fn) << what;
 }
 
-SystemScores ScoreWorld(const kb::KnowledgeBase& kb,
-                        const embedding::EmbeddingStore& embeddings,
-                        const text::Gazetteer& gazetteer,
-                        const datasets::Dataset& dataset) {
-  baselines::TenetLinker linker(
-      baselines::BaselineSubstrate{&kb, &embeddings, &gazetteer, {}, {}});
+SystemScores Score(const baselines::BaselineSubstrate& substrate,
+                   const datasets::Dataset& dataset) {
+  baselines::TenetLinker linker(substrate);
   return EvaluateEndToEnd(linker, dataset);
 }
 
@@ -45,8 +45,9 @@ TEST(KbSnapshotTest, EveryLoadPathScoresIdenticallyToMemory) {
   spec.num_docs = 6;
   datasets::Dataset dataset = gen.Generate(spec, rng);
 
-  SystemScores golden =
-      ScoreWorld(world.kb(), world.embeddings, world.gazetteer(), dataset);
+  SystemScores golden = Score({&world.kb(), &world.embeddings,
+                               &world.gazetteer(), {}, {}},
+                              dataset);
   ASSERT_EQ(golden.failed_documents, 0);
   ASSERT_GT(golden.entity_linking.tp, 0);
 
@@ -66,17 +67,14 @@ TEST(KbSnapshotTest, EveryLoadPathScoresIdenticallyToMemory) {
   };
   for (const LoadPath& path : paths) {
     SCOPED_TRACE(path.name);
-    Result<kb::KnowledgeBase> kb2 =
-        kb::LoadKnowledgeBase(*path.kb_path, path.options);
+    Result<kb::ShardedKb> kb2 =
+        kb::ShardedKb::Load(*path.kb_path, emb_path, path.options);
     ASSERT_TRUE(kb2.ok()) << kb2.status();
-    kb::KbLoadOptions emb_options;
-    emb_options.prefer_mmap = path.options.prefer_mmap;
-    Result<embedding::EmbeddingStore> emb2 =
-        kb::LoadEmbeddings(emb_path, emb_options);
-    ASSERT_TRUE(emb2.ok()) << emb2.status();
-    text::Gazetteer gazetteer2 = kb::DeriveGazetteer(*kb2);
+    auto view = std::make_shared<const kb::ShardedKb>(std::move(*kb2));
+    text::Gazetteer gazetteer2 = kb::DeriveGazetteer(*view);
 
-    SystemScores scores = ScoreWorld(*kb2, *emb2, gazetteer2, dataset);
+    SystemScores scores =
+        Score({nullptr, nullptr, &gazetteer2, {}, view}, dataset);
     ExpectSamePRF(golden.entity_linking, scores.entity_linking,
                   "entity_linking");
     ExpectSamePRF(golden.relation_linking, scores.relation_linking,

@@ -17,6 +17,7 @@
 #include "common/fault_injection.h"
 #include "figure_one_world.h"
 #include "kb/delta.h"
+#include "kb/sharded_kb.h"
 #include "kb/types.h"
 #include "obs/metrics.h"
 #include "serving/batch_service.h"
@@ -45,18 +46,20 @@ struct WorldIds {
   kb::EntityId brooklyn;
 };
 
+// The figure-one world served as a `num_shards`-shard layout.
 std::shared_ptr<const KbGeneration> FigureOneGeneration(
     uint64_t id, WorldIds* ids = nullptr,
-    const core::TenetOptions& options = {}) {
+    const core::TenetOptions& options = {}, int num_shards = 1) {
   FigureOneWorld world = BuildFigureOneWorld();
   if (ids != nullptr) {
     ids->professor = world.professor;
     ids->player = world.player;
     ids->brooklyn = world.brooklyn;
   }
-  return KbGeneration::FromSubstrate(std::move(world.kb),
-                                     std::move(world.embeddings), id,
-                                     options);
+  return KbGeneration::FromShardedKb(
+      std::make_shared<const kb::ShardedKb>(kb::ShardedKb::Partition(
+          world.kb, world.embeddings, num_shards)),
+      id, options);
 }
 
 ServingOptions UpdateTestOptions(obs::MetricsRegistry* registry,
@@ -145,10 +148,23 @@ TEST(KbUpdateTest, WithDeltasKeepsThePipelineOptions) {
   EXPECT_EQ(kept.graph.max_candidates_per_mention, 3);
 }
 
-TEST(KbUpdateTest, PostSwapRequestsSeeTheDeltaAndMetricsPublish) {
+// The swap and merge cases run on a 1-shard and a 2-shard layout: live
+// updates and compaction work shard by shard.
+class KbUpdateLayoutTest : public ::testing::TestWithParam<int> {
+ protected:
+  std::shared_ptr<const KbGeneration> Generation(uint64_t id,
+                                                 WorldIds* ids = nullptr) {
+    return FigureOneGeneration(id, ids, {}, GetParam());
+  }
+  std::string LayoutPath(const std::string& name) {
+    return TempPath(name + "_s" + std::to_string(GetParam()));
+  }
+};
+
+TEST_P(KbUpdateLayoutTest, PostSwapRequestsSeeTheDeltaAndMetricsPublish) {
   obs::MetricsRegistry registry;
   WorldIds ids;
-  std::shared_ptr<const KbGeneration> gen1 = FigureOneGeneration(1, &ids);
+  std::shared_ptr<const KbGeneration> gen1 = Generation(1, &ids);
   BatchLinkingService service(gen1, UpdateTestOptions(&registry));
   EXPECT_EQ(service.generation_id(), 1u);
 
@@ -180,10 +196,10 @@ TEST(KbUpdateTest, PostSwapRequestsSeeTheDeltaAndMetricsPublish) {
             1);
 }
 
-TEST(KbUpdateTest, RequestsPinnedBeforeASwapFinishOnTheirGeneration) {
+TEST_P(KbUpdateLayoutTest, RequestsPinnedBeforeASwapFinishOnTheirGeneration) {
   obs::MetricsRegistry registry;
   WorldIds ids;
-  std::shared_ptr<const KbGeneration> gen1 = FigureOneGeneration(1, &ids);
+  std::shared_ptr<const KbGeneration> gen1 = Generation(1, &ids);
   // One worker: a blocked callback deterministically holds later requests
   // in the queue across the swap.
   BatchLinkingService service(gen1,
@@ -249,9 +265,9 @@ TEST(KbUpdateTest, RequestsPinnedBeforeASwapFinishOnTheirGeneration) {
   EXPECT_TRUE(LinksEntity(*fresh.result, tokyo));
 }
 
-TEST(KbUpdateTest, FailedSwapsRollBackToTheServingGeneration) {
+TEST_P(KbUpdateLayoutTest, FailedSwapsRollBackToTheServingGeneration) {
   obs::MetricsRegistry registry;
-  std::shared_ptr<const KbGeneration> gen1 = FigureOneGeneration(1);
+  std::shared_ptr<const KbGeneration> gen1 = Generation(1);
   BatchLinkingService service(gen1, UpdateTestOptions(&registry));
 
   Result<std::shared_ptr<const KbGeneration>> gen2 =
@@ -287,10 +303,10 @@ TEST(KbUpdateTest, FailedSwapsRollBackToTheServingGeneration) {
   EXPECT_EQ(stats.swaps_rolled_back, 2);
 }
 
-TEST(KbUpdateTest, BackgroundMergeCompactsDeltasIntoAFreshSnapshot) {
+TEST_P(KbUpdateLayoutTest, BackgroundMergeCompactsDeltasIntoAFreshSnapshot) {
   obs::MetricsRegistry registry;
   WorldIds ids;
-  std::shared_ptr<const KbGeneration> gen1 = FigureOneGeneration(1, &ids);
+  std::shared_ptr<const KbGeneration> gen1 = Generation(1, &ids);
   BatchLinkingService service(gen1, UpdateTestOptions(&registry));
 
   kb::EntityId tokyo = -1;
@@ -299,8 +315,10 @@ TEST(KbUpdateTest, BackgroundMergeCompactsDeltasIntoAFreshSnapshot) {
   ASSERT_TRUE(gen2.ok()) << gen2.status();
   ASSERT_TRUE(service.SwapGeneration(*gen2).ok());
 
-  std::string kb_path = TempPath("merge_out.tenetkb");
-  std::string emb_path = TempPath("merge_out.tenetemb");
+  // A 1-shard generation compacts to a flat pair, more shards to a
+  // manifest at kb_path (emb_path unused).
+  std::string kb_path = LayoutPath("merge_out.tenetkb");
+  std::string emb_path = LayoutPath("merge_out.tenetemb");
   Status merge_status = Status::Internal("callback never ran");
   std::latch merged(1);
   ASSERT_TRUE(service
@@ -327,16 +345,17 @@ TEST(KbUpdateTest, BackgroundMergeCompactsDeltasIntoAFreshSnapshot) {
       KbGeneration::Load(kb_path, emb_path, {}, /*id=*/9);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
   EXPECT_EQ((*reloaded)->kb().num_entities(), (*gen2)->kb().num_entities());
+  EXPECT_EQ((*reloaded)->kb().num_shards(), GetParam());
   EXPECT_EQ((*reloaded)->delta_stats().added_entities, 0);
 }
 
-TEST(KbUpdateTest, MergeFailureRollsBackAndCounts) {
+TEST_P(KbUpdateLayoutTest, MergeFailureRollsBackAndCounts) {
   obs::MetricsRegistry registry;
-  std::shared_ptr<const KbGeneration> gen1 = FigureOneGeneration(1);
+  std::shared_ptr<const KbGeneration> gen1 = Generation(1);
   BatchLinkingService service(gen1, UpdateTestOptions(&registry));
 
-  std::string kb_path = TempPath("merge_fail.tenetkb");
-  std::string emb_path = TempPath("merge_fail.tenetemb");
+  std::string kb_path = LayoutPath("merge_fail.tenetkb");
+  std::string emb_path = LayoutPath("merge_fail.tenetemb");
   std::remove(kb_path.c_str());
   FaultInjector faults(13);
   faults.Arm("kb/io/write_truncation", 1.0);
@@ -355,6 +374,8 @@ TEST(KbUpdateTest, MergeFailureRollsBackAndCounts) {
   EXPECT_EQ(service.Stats().merges_failed, 1);
   EXPECT_EQ(service.Stats().merges_ok, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, KbUpdateLayoutTest, ::testing::Values(1, 2));
 
 // The similarity-cache staleness regression (coherence near-tie): in
 // generation 1 the academic context drags "Michael Jordan" to the

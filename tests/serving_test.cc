@@ -42,8 +42,7 @@ datasets::Dataset TinyDataset(uint64_t seed, int num_docs = 8) {
 std::shared_ptr<const KbGeneration> Generation(
     const core::TenetOptions& options = {}) {
   datasets::SyntheticWorld world = datasets::BuildWorld();
-  return KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
-                                     std::move(world.embeddings), /*id=*/1,
+  return KbGeneration::FromSubstrate(world.kb(), world.embeddings, /*id=*/1,
                                      options);
 }
 

@@ -15,6 +15,7 @@
 #include "datasets/world.h"
 #include "eval/harness.h"
 #include "figure_one_world.h"
+#include "kb/kb_view.h"
 #include "serving/session.h"
 
 namespace tenet {
@@ -101,7 +102,8 @@ TEST(SessionContextTest, FirstTurnIsUntouched) {
       testing_support::BuildFigureOneWorld();
   SessionContext context;
   core::LinkingResult result;
-  SessionTurnStats stats = context.ApplySessionCoherence(world.kb, &result);
+  const kb::FlatKbView view(&world.kb, &world.embeddings);
+  SessionTurnStats stats = context.ApplySessionCoherence(view, &result);
   EXPECT_EQ(stats.relinked_to_memory, 0);
   EXPECT_EQ(stats.isolated_resolved, 0);
 }
@@ -138,7 +140,8 @@ TEST(SessionContextTest, RemembersEntitiesAndRelinksAmbiguousAlias) {
   link2.prior = 0.7;
   turn2.links.push_back(link2);
 
-  SessionTurnStats stats = context.ApplySessionCoherence(world.kb, &turn2);
+  const kb::FlatKbView view(&world.kb, &world.embeddings);
+  SessionTurnStats stats = context.ApplySessionCoherence(view, &turn2);
   EXPECT_EQ(stats.relinked_to_memory, 1);
   ASSERT_EQ(turn2.links.size(), 1u);
   EXPECT_EQ(turn2.links[0].concept_ref.id, world.professor);
@@ -172,7 +175,8 @@ TEST(SessionContextTest, ResolvesIsolatedShortFormFromMemory) {
   turn2.mentions.mentions.push_back(m2);
   turn2.isolated_mentions.push_back(0);
 
-  SessionTurnStats stats = context.ApplySessionCoherence(world.kb, &turn2);
+  const kb::FlatKbView view(&world.kb, &world.embeddings);
+  SessionTurnStats stats = context.ApplySessionCoherence(view, &turn2);
   EXPECT_EQ(stats.isolated_resolved, 1);
   EXPECT_TRUE(turn2.isolated_mentions.empty());
   ASSERT_EQ(turn2.links.size(), 1u);
@@ -208,7 +212,8 @@ TEST(SessionContextTest, AmbiguousMemoryIsPoisonedNotGuessed) {
   m.kind = core::Mention::Kind::kNoun;
   probe.mentions.mentions.push_back(m);
   probe.isolated_mentions.push_back(0);
-  SessionTurnStats stats = context.ApplySessionCoherence(world.kb, &probe);
+  const kb::FlatKbView view(&world.kb, &world.embeddings);
+  SessionTurnStats stats = context.ApplySessionCoherence(view, &probe);
   EXPECT_EQ(stats.isolated_resolved, 0);
   EXPECT_EQ(probe.isolated_mentions.size(), 1u);  // stays isolated
 }
@@ -239,7 +244,8 @@ TEST(SessionContextTest, MemoryOffIsANoOp) {
   m2.kind = core::Mention::Kind::kNoun;
   turn2.mentions.mentions.push_back(m2);
   turn2.isolated_mentions.push_back(0);
-  SessionTurnStats stats = context.ApplySessionCoherence(world.kb, &turn2);
+  const kb::FlatKbView view(&world.kb, &world.embeddings);
+  SessionTurnStats stats = context.ApplySessionCoherence(view, &turn2);
   EXPECT_EQ(stats.isolated_resolved, 0);
   EXPECT_EQ(turn2.isolated_mentions.size(), 1u);
 }
@@ -267,11 +273,13 @@ TEST(SessionReplayTest, SessionStateImprovesOverIsolation) {
 
   eval::SessionEvalOptions with_context;
   eval::SystemScores contextual =
-      eval::EvaluateSessions(tenet, World().kb(), sessions, with_context);
+      eval::EvaluateSessions(tenet, tenet.pipeline().view(), sessions,
+                             with_context);
   eval::SessionEvalOptions isolated;
   isolated.use_session_context = false;
   eval::SystemScores baseline =
-      eval::EvaluateSessions(tenet, World().kb(), sessions, isolated);
+      eval::EvaluateSessions(tenet, tenet.pipeline().view(), sessions,
+                             isolated);
 
   EXPECT_EQ(contextual.CrashedDocuments(), 0);
   EXPECT_EQ(baseline.CrashedDocuments(), 0);
@@ -288,9 +296,9 @@ TEST(SessionReplayTest, ReplayIsDeterministic) {
                                    &World().gazetteer(), {}, {}});
   datasets::SessionDataset sessions = GenerateSessions();
   eval::SystemScores a =
-      eval::EvaluateSessions(tenet, World().kb(), sessions);
+      eval::EvaluateSessions(tenet, tenet.pipeline().view(), sessions);
   eval::SystemScores b =
-      eval::EvaluateSessions(tenet, World().kb(), sessions);
+      eval::EvaluateSessions(tenet, tenet.pipeline().view(), sessions);
   EXPECT_EQ(a.entity_linking.F1(), b.entity_linking.F1());
   EXPECT_EQ(a.session_relinked, b.session_relinked);
   EXPECT_EQ(a.session_isolated_resolved, b.session_isolated_resolved);
