@@ -2,7 +2,10 @@
 #define TENET_EMBEDDING_EMBEDDING_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -30,21 +33,39 @@ namespace embedding {
 // dot/norms arithmetic; see dot_kernel.h).  The copy triples the store's
 // memory; DESIGN.md §10 discusses the tradeoff.
 //
-// The raw float rows stay after Finalize because three readers need them
+// The raw float rows stay after Finalize because two readers need them
 // and cannot get them back from the unit rows (the norms are gone):
-// SaveEmbeddings (kb/io.cc) persists them, ShardedKb::Partition copies
-// them into per-shard stores, and ApplyDeltas carries them into the next
-// generation's store.
+// SaveEmbeddings (kb/io.cc) persists them, and ShardedKb::Partition copies
+// them into per-shard stores.
+//
+// Layered stores (Extend) are how a live KB update grows the matrix
+// without copying it: a layered store shares a finalized base store by
+// pointer and owns only the rows of concepts appended after it and the
+// rows that overrides replace (ApplyDeltas' kSetEmbedding).  Finalize
+// normalizes only those own rows.  Extending a layered store layers the
+// new one over the same base and carries the own rows forward, so the
+// overlay is cumulative and the base is never itself layered; the next
+// compaction writes the whole matrix as a new base.
 class EmbeddingStore {
  public:
   EmbeddingStore(int dimension, int32_t num_entities,
                  int32_t num_predicates);
 
+  /// An unfinalized store of `num_entities` x `num_predicates` rows over
+  /// the finalized `parent`, whose counts it must not undercut: every row
+  /// of `parent` reads through unchanged (shared with `parent`'s base, not
+  /// copied), appended concepts start as zero rows, and MutableVector of
+  /// an existing concept gives it an own row.  O(rows `parent` owns).
+  static EmbeddingStore Extend(
+      const std::shared_ptr<const EmbeddingStore>& parent,
+      int32_t num_entities, int32_t num_predicates);
+
   int dimension() const { return dimension_; }
   int32_t num_entities() const { return num_entities_; }
   int32_t num_predicates() const { return num_predicates_; }
 
-  /// Writable view of the vector of `ref`.  Only before Finalize().
+  /// Writable view of the vector of `ref`.  Only before Finalize(); on a
+  /// layered store the view is valid until the next MutableVector call.
   std::span<float> MutableVector(kb::ConceptRef ref);
 
   /// Read-only view of the raw vector of `ref`.
@@ -54,7 +75,8 @@ class EmbeddingStore {
   /// a zero vector).  Only after Finalize().
   std::span<const double> UnitVector(kb::ConceptRef ref) const;
 
-  /// Builds the unit-normalized copy; must be called once after all writes.
+  /// Builds the unit-normalized copy of the store's own rows; must be
+  /// called once after all writes.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -98,17 +120,35 @@ class EmbeddingStore {
   }
 
  private:
+  EmbeddingStore(std::shared_ptr<const EmbeddingStore> base,
+                 int32_t num_entities, int32_t num_predicates);
+
   /// Fills unit_data_ from data_ in one sweep.  False — with unit_data_
   /// left empty — when a row holds a non-finite value.
   bool BuildUnitRows();
-  size_t Offset(kb::ConceptRef ref) const;
   size_t RowIndex(kb::ConceptRef ref) const;
+  /// The store holding `ref`'s row (this one or base_) and the row's index
+  /// there.
+  std::pair<const EmbeddingStore*, size_t> Locate(kb::ConceptRef ref) const;
+  const double* UnitRow(kb::ConceptRef ref) const {
+    if (base_ == nullptr) {
+      return unit_data_.data() + RowIndex(ref) * dimension_;
+    }
+    const auto [store, row] = Locate(ref);
+    return store->unit_data_.data() + row * dimension_;
+  }
 
   int dimension_;
   int32_t num_entities_;
   int32_t num_predicates_;
-  std::vector<float> data_;        // entities first, then predicates
+  // Own rows.  Unlayered: every row, entities first, then predicates.
+  // Layered: appended entities, appended predicates, then overrides.
+  std::vector<float> data_;
   std::vector<double> unit_data_;  // unit-normalized copy, by Finalize()
+  // Layered stores only: the shared, finalized, unlayered base, and the
+  // own row of each overridden base row (keyed by its base row index).
+  std::shared_ptr<const EmbeddingStore> base_;
+  std::unordered_map<size_t, size_t> overrides_;
   bool finalized_ = false;
   obs::DependencyOpCounters ops_;
 };

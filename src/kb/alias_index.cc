@@ -84,7 +84,6 @@ size_t AliasIndex::num_surfaces() const {
   // Overlay entries either shadow a dictionary surface (tombstones subtract
   // it, replacements are a wash) or introduce a new one.
   size_t total = dict_->num_surfaces();
-  std::string key;
   for (const auto& [surface, entry] : overlay_) {
     const bool in_dict = dict_->Find(surface) >= 0;
     if (entry.interleaved.empty()) {
@@ -109,10 +108,9 @@ std::span<const AliasPosting> AliasIndex::Lookup(
   ops.Record(!faulted);
   if (faulted) return {};
   if (!overlay_.empty()) {
-    // Rare tier (only populated between delta apply and the next compact):
-    // pay the fold allocation here to keep the common path allocation-free.
-    std::string key = AsciiToLower(surface);
-    auto it = overlay_.find(std::string_view(key));
+    // Populated between a delta apply and the next compaction; the probe
+    // folds on the fly like the dictionary's, so it allocates nothing.
+    auto it = overlay_.find(surface);
     if (it != overlay_.end()) {
       const OverlayEntry& entry = it->second;
       if (kind == ConceptRef::Kind::kEntity) {
@@ -140,9 +138,8 @@ std::span<const AliasPosting> AliasIndex::LookupPredicates(
 
 bool AliasIndex::ContainsSurface(std::string_view surface,
                                  ConceptRef::Kind kind) const {
-  std::string key = AsciiToLower(surface);
   if (!finalized_) {
-    auto it = build_.find(key);
+    auto it = build_.find(AsciiToLower(surface));
     if (it == build_.end()) return false;
     for (const AliasPosting& posting : it->second) {
       if (posting.concept_ref.kind == kind) return true;
@@ -150,18 +147,16 @@ bool AliasIndex::ContainsSurface(std::string_view surface,
     return false;
   }
   if (!overlay_.empty()) {
-    auto it = overlay_.find(std::string_view(key));
+    auto it = overlay_.find(surface);
     if (it != overlay_.end()) {
       const OverlayEntry& entry = it->second;
       if (kind == ConceptRef::Kind::kEntity) return entry.entity_count > 0;
       return entry.grouped.size() > entry.entity_count;
     }
   }
-  const int64_t sid = dict_->Find(key);
-  if (sid < 0) return false;
   return kind == ConceptRef::Kind::kEntity
-             ? !dict_->EntitiesAt(sid).empty()
-             : !dict_->PredicatesAt(sid).empty();
+             ? !dict_->Entities(surface).empty()
+             : !dict_->Predicates(surface).empty();
 }
 
 bool AliasIndex::GetInterleavedPostings(std::string_view folded_surface,

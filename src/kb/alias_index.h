@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/string_util.h"
 #include "kb/alias_dict.h"
 #include "kb/types.h"
 
@@ -54,16 +55,10 @@ class AliasIndex {
     uint32_t entity_count = 0;
   };
 
-  // Heterogeneous-lookup map so string_view probes don't allocate.
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using OverlayMap =
-      std::unordered_map<std::string, OverlayEntry, TransparentHash,
-                         std::equal_to<>>;
+  // Keys are folded surfaces; probes of any casing fold on the fly with
+  // the dictionary's fold-hash, so an overlay probe never allocates.
+  using OverlayMap = std::unordered_map<std::string, OverlayEntry,
+                                        AsciiFoldHasher, AsciiFoldEqual>;
 
   AliasIndex() = default;
 

@@ -601,17 +601,21 @@ Result<AppliedDelta> ApplyDeltas(const ShardedKb& base,
   }
 
   const auto home = [n](int32_t id) { return ShardedKb::HomeShard(id, n); };
-  std::vector<ShardedKb::Shard> shards(n);
 
-  // ---- Concept records: new ones land on their home shards ----------------
+  // Every part of a result shard starts as its base shard's, shared by
+  // pointer: record bases, fact arena, embedding store (DESIGN.md §12).
+  // Copying a record array copies only its tail of earlier appends.  Only
+  // what this chain changes is rebuilt below.
+  std::vector<ShardedKb::Shard> shards(n);
   for (int s = 0; s < n; ++s) {
     const ShardedKb::Shard& from = base.shard(s);
-    shards[s].entities.reserve(from.entities.size() + new_entities.size());
     shards[s].entities = from.entities;
-    shards[s].predicates.reserve(from.predicates.size() +
-                                 new_predicates.size());
     shards[s].predicates = from.predicates;
+    shards[s].facts = from.facts;
+    shards[s].embeddings = from.embeddings;
   }
+
+  // ---- Concept records: new ones land on their home shards' tails --------
   for (size_t i = 0; i < new_entities.size(); ++i) {
     shards[home(base.num_entities() + static_cast<int32_t>(i))]
         .entities.push_back(std::move(new_entities[i]));
@@ -634,7 +638,7 @@ Result<AppliedDelta> ApplyDeltas(const ShardedKb& base,
   std::vector<int64_t> dead_fact_ids;
   if (!dead_entities.empty() || !dead_predicates.empty()) {
     for (int s = 0; s < n; ++s) {
-      const ShardedKb::Shard& from = base.shard(s);
+      const ShardedKb::FactArena& from = *base.shard(s).facts;
       for (size_t pos = 0; pos < from.facts.size(); ++pos) {
         const Triple& t = from.facts[pos];
         if (home(t.subject) == s && fact_is_dead(t)) {
@@ -645,10 +649,37 @@ Result<AppliedDelta> ApplyDeltas(const ShardedKb& base,
     std::sort(dead_fact_ids.begin(), dead_fact_ids.end());
   }
   stats.dropped_facts = static_cast<int64_t>(dead_fact_ids.size());
+
+  // A shard's arena is rebuilt when a fact on it is dropped or renumbered
+  // (it holds an id at or past the first dead one) or a surviving delta
+  // fact routes to it; every other shard keeps its base arena.
+  std::vector<char> rebuild(n, 0);
+  if (!dead_fact_ids.empty()) {
+    for (int s = 0; s < n; ++s) {
+      const std::vector<int64_t>& ids = base.shard(s).facts->fact_ids;
+      rebuild[s] = !ids.empty() && ids.back() >= dead_fact_ids.front();
+    }
+  }
+  std::vector<const Triple*> live_delta_facts;
+  for (const Triple& t : delta_facts) {
+    if (fact_is_dead(t)) {
+      ++stats.dropped_facts;
+      continue;
+    }
+    live_delta_facts.push_back(&t);
+    int targets[3];
+    const int num_targets = ShardedKb::FactShards(t, n, targets);
+    for (int i = 0; i < num_targets; ++i) rebuild[targets[i]] = 1;
+  }
+  std::vector<ShardedKb::FactArena> arenas(n);
+  std::vector<ShardedKb::FactArena*> arena_ptrs(n, nullptr);
   for (int s = 0; s < n; ++s) {
-    const ShardedKb::Shard& from = base.shard(s);
-    ShardedKb::Shard& to = shards[s];
+    if (!rebuild[s]) continue;
+    const ShardedKb::FactArena& from = *base.shard(s).facts;
+    ShardedKb::FactArena& to = arenas[s];
+    arena_ptrs[s] = &to;
     if (dead_fact_ids.empty()) {
+      to.facts.reserve(from.facts.size() + live_delta_facts.size());
       to.facts = from.facts;
       to.fact_ids = from.fact_ids;
       continue;
@@ -665,16 +696,19 @@ Result<AppliedDelta> ApplyDeltas(const ShardedKb& base,
       to.fact_ids.push_back(id - static_cast<int64_t>(dead_before));
     }
   }
-  int64_t num_facts = base.num_facts() - stats.dropped_facts;
-  for (const Triple& t : delta_facts) {
-    if (fact_is_dead(t)) {
-      ++stats.dropped_facts;
-      continue;
-    }
-    ShardedKb::RouteFact(shards, t, num_facts++);
+  int64_t num_facts =
+      base.num_facts() - static_cast<int64_t>(dead_fact_ids.size());
+  for (const Triple* t : live_delta_facts) {
+    ShardedKb::RouteFact(arena_ptrs, *t, num_facts++);
     ++stats.added_facts;
   }
-  for (int s = 0; s < n; ++s) ShardedKb::BuildShardIndexes(shards[s], n, s);
+  for (int s = 0; s < n; ++s) {
+    if (!rebuild[s]) continue;
+    ShardedKb::BuildShardIndexes(arenas[s], shards[s].entities.size(),
+                                 shards[s].predicates.size(), n, s);
+    shards[s].facts =
+        std::make_shared<const ShardedKb::FactArena>(std::move(arenas[s]));
+  }
 
   // ---- Alias index: shared frozen dictionaries + composed overlays --------
   // Untouched surfaces pass through bit-exact by *sharing* each base
@@ -785,35 +819,42 @@ Result<AppliedDelta> ApplyDeltas(const ShardedKb& base,
                                       std::move(overlays[s]));
   }
 
-  // ---- Embeddings: base rows copied, delta rows zero unless set -----------
+  // ---- Embeddings: layered over the base rows ----------------------------
+  // A shard that gains concepts or an overridden row gets a store layered
+  // over its base store: appended rows start at zero, and only its own rows
+  // (appended, overridden, or carried from earlier deltas) are normalized.
   for (int s = 0; s < n; ++s) {
-    const embedding::EmbeddingStore& from = *base.shard(s).embeddings;
-    auto store = std::make_unique<embedding::EmbeddingStore>(
-        dim, static_cast<int32_t>(shards[s].entities.size()),
-        static_cast<int32_t>(shards[s].predicates.size()));
-    const auto copy_row = [&](ConceptRef ref) {
-      const std::span<const float> src = from.Vector(ref);
-      std::memcpy(store->MutableVector(ref).data(), src.data(),
-                  src.size() * sizeof(float));
-    };
-    for (int32_t i = 0; i < from.num_entities(); ++i) {
-      copy_row(ConceptRef::Entity(i));
+    const std::shared_ptr<const embedding::EmbeddingStore>& from =
+        base.shard(s).embeddings;
+    const auto local_entities = static_cast<int32_t>(shards[s].entities.size());
+    const auto local_predicates =
+        static_cast<int32_t>(shards[s].predicates.size());
+    const bool overridden = std::any_of(
+        embedding_overrides.begin(), embedding_overrides.end(),
+        [&](const auto& entry) { return home(entry.first.id) == s; });
+    if (local_entities == from->num_entities() &&
+        local_predicates == from->num_predicates() && !overridden) {
+      continue;  // shared as is
     }
-    for (int32_t i = 0; i < from.num_predicates(); ++i) {
-      copy_row(ConceptRef::Predicate(i));
+    embedding::EmbeddingStore store = embedding::EmbeddingStore::Extend(
+        from, local_entities, local_predicates);
+    for (const auto& [ref, row] : embedding_overrides) {
+      if (home(ref.id) != s) continue;
+      const ConceptRef local{ref.kind, ShardedKb::LocalIndex(ref.id, n)};
+      std::memcpy(store.MutableVector(local).data(), row.data(),
+                  row.size() * sizeof(float));
     }
-    shards[s].embeddings = std::move(store);
+    store.Finalize();
+    shards[s].embeddings =
+        std::make_shared<const embedding::EmbeddingStore>(std::move(store));
   }
-  for (const auto& [ref, row] : embedding_overrides) {
-    const ConceptRef local{ref.kind, ShardedKb::LocalIndex(ref.id, n)};
-    std::memcpy(shards[home(ref.id)].embeddings->MutableVector(local).data(),
-                row.data(), row.size() * sizeof(float));
-  }
-  for (ShardedKb::Shard& shard : shards) shard.embeddings->Finalize();
 
+  std::vector<std::string> touched(touched_surfaces.begin(),
+                                   touched_surfaces.end());
+  std::sort(touched.begin(), touched.end());
   return AppliedDelta{ShardedKb(std::move(shards), num_entities,
                                 num_predicates, num_facts),
-                      stats};
+                      stats, std::move(touched)};
 }
 
 }  // namespace kb

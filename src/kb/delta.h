@@ -185,13 +185,22 @@ struct DeltaApplyStats {
 struct AppliedDelta {
   ShardedKb kb;
   DeltaApplyStats stats;
+  /// Folded surfaces whose postings the apply recomposed (named by an
+  /// alias op or holding a tombstoned concept, including surfaces left
+  /// with no posting), sorted — the only surfaces whose derived gazetteer
+  /// answer can differ from the base's.
+  std::vector<std::string> touched_surfaces;
 };
 
-/// Rebuilds `base` with `segments` applied in order, under the semantics
+/// Derives `base` with `segments` applied in order, under the semantics
 /// documented above, as a layout with the base's shard count.  The base is
-/// untouched (it may be serving live traffic): every result shard shares
-/// its base shard's frozen alias dictionary and carries the touched
-/// surfaces in a fresh overlay.  Records are validated against the running
+/// untouched (it may be serving live traffic) and shared, not copied:
+/// every result shard points at its base shard's frozen alias dictionary,
+/// record bases, embedding rows and — unless a fact is added, dropped or
+/// renumbered on it — fact arena, and owns only the cumulative overlays of
+/// the chain (touched surfaces, appended records, appended and overridden
+/// embedding rows).  A one-entity delta thus costs O(delta + overlay);
+/// tombstones that drop facts rebuild the fact arenas, O(facts).  Records are validated against the running
 /// id space; any invalid record fails the whole apply with InvalidArgument
 /// and nothing is returned.
 Result<AppliedDelta> ApplyDeltas(const ShardedKb& base,

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -460,8 +461,10 @@ void RecordLoad(const char* store, const char* format, double ms,
 // Entity/predicate records are the shard's local subsequence; concept ids
 // in postings and facts are global.
 struct SnapshotContents {
-  std::span<const EntityRecord> entities;
-  std::span<const PredicateRecord> predicates;
+  // Records in order, as up to two runs (a shard's shared base and its
+  // delta-appended tail).
+  std::array<std::span<const EntityRecord>, 2> entities;
+  std::array<std::span<const PredicateRecord>, 2> predicates;
   const AliasIndex* aliases = nullptr;
   std::span<const Triple> facts;
   const ShardInfo* shard = nullptr;   // shard snapshots only
@@ -473,21 +476,29 @@ Status WriteSnapshot(const SnapshotContents& contents,
   StringTableBuilder strings;
 
   ByteWriter entities;
-  for (const EntityRecord& rec : contents.entities) {
-    entities.Append<uint32_t>(strings.Intern(rec.label));
-    entities.Append<int32_t>(static_cast<int32_t>(rec.type));
-    entities.Append<int32_t>(rec.domain);
-    entities.Append<int32_t>(0);
-    entities.Append<double>(rec.popularity);
+  size_t num_entities = 0;
+  for (std::span<const EntityRecord> run : contents.entities) {
+    for (const EntityRecord& rec : run) {
+      entities.Append<uint32_t>(strings.Intern(rec.label));
+      entities.Append<int32_t>(static_cast<int32_t>(rec.type));
+      entities.Append<int32_t>(rec.domain);
+      entities.Append<int32_t>(0);
+      entities.Append<double>(rec.popularity);
+    }
+    num_entities += run.size();
   }
 
   ByteWriter predicates;
-  for (const PredicateRecord& rec : contents.predicates) {
-    predicates.Append<uint32_t>(strings.Intern(rec.label));
-    predicates.Append<int32_t>(rec.domain);
-    predicates.Append<int32_t>(0);
-    predicates.Append<int32_t>(0);
-    predicates.Append<double>(rec.popularity);
+  size_t num_predicates = 0;
+  for (std::span<const PredicateRecord> run : contents.predicates) {
+    for (const PredicateRecord& rec : run) {
+      predicates.Append<uint32_t>(strings.Intern(rec.label));
+      predicates.Append<int32_t>(rec.domain);
+      predicates.Append<int32_t>(0);
+      predicates.Append<int32_t>(0);
+      predicates.Append<double>(rec.popularity);
+    }
+    num_predicates += run.size();
   }
 
   ByteWriter facts;
@@ -534,10 +545,9 @@ Status WriteSnapshot(const SnapshotContents& contents,
   std::vector<Pending> sections = {
       {kSectionStrings, string_table.data(), string_table.size(),
        strings.size()},
-      {kSectionEntities, entities.data(), entities.size(),
-       contents.entities.size()},
+      {kSectionEntities, entities.data(), entities.size(), num_entities},
       {kSectionPredicates, predicates.data(), predicates.size(),
-       contents.predicates.size()},
+       num_predicates},
       {kSectionFacts, facts.data(), facts.size(), contents.facts.size()},
   };
   if (contents.shard != nullptr) {
@@ -589,12 +599,13 @@ Status WriteSnapshot(const SnapshotContents& contents,
 // already validated.
 struct ShardSink {
   ShardedKb::Shard& shard;
+  ShardedKb::FactArena& arena;
 
   void Reserve(int32_t entities, int32_t predicates, int32_t facts) {
     shard.entities.reserve(entities);
     shard.predicates.reserve(predicates);
-    shard.facts.reserve(facts);
-    shard.fact_ids.reserve(facts);
+    arena.facts.reserve(facts);
+    arena.fact_ids.reserve(facts);
   }
   void AddEntity(std::string_view label, EntityType type, int32_t domain,
                  double popularity) {
@@ -616,8 +627,8 @@ struct ShardSink {
     t.predicate = predicate;
     t.object_entity = object;
     t.object_is_entity = true;
-    shard.facts.push_back(std::move(t));
-    shard.fact_ids.push_back(fact_id);
+    arena.facts.push_back(std::move(t));
+    arena.fact_ids.push_back(fact_id);
     return Status::Ok();
   }
   Status AddLiteralFact(EntityId subject, PredicateId predicate,
@@ -627,8 +638,8 @@ struct ShardSink {
     t.predicate = predicate;
     t.object_literal = std::string(literal);
     t.object_is_entity = false;
-    shard.facts.push_back(std::move(t));
-    shard.fact_ids.push_back(fact_id);
+    arena.facts.push_back(std::move(t));
+    arena.fact_ids.push_back(fact_id);
     return Status::Ok();
   }
 };
@@ -879,9 +890,12 @@ Result<ShardedKb::Shard> LoadShard(const MmapFile& file,
                                    const KbLoadOptions& options,
                                    const WallTimer& timer) {
   ShardedKb::Shard shard;
-  ShardSink sink{shard};
+  ShardedKb::FactArena arena;
+  ShardSink sink{shard, arena};
   TENET_RETURN_IF_ERROR(DecodeSnapshot(file.bytes(), layout, info, sink));
-  ShardedKb::BuildShardIndexes(shard, num_shards, index);
+  ShardedKb::BuildShardIndexes(arena, shard.entities.size(),
+                               shard.predicates.size(), num_shards, index);
+  shard.facts = std::make_shared<const ShardedKb::FactArena>(std::move(arena));
   TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore embeddings,
                          LoadEmbeddings(embeddings_path, options));
   if (embeddings.num_entities() !=
@@ -892,7 +906,7 @@ Result<ShardedKb::Shard> LoadShard(const MmapFile& file,
         "embedding counts disagree with the snapshot: " + embeddings_path);
   }
   shard.embeddings =
-      std::make_unique<embedding::EmbeddingStore>(std::move(embeddings));
+      std::make_shared<const embedding::EmbeddingStore>(std::move(embeddings));
   shard.mapped_bytes = file.zero_copy() ? file.size() : 0;
   shard.load_ms = timer.ElapsedMillis();
   RecordLoad(info != nullptr ? "kb_shard" : "kb",
@@ -906,12 +920,12 @@ Result<ShardedKb::Shard> LoadShard(const MmapFile& file,
 Status WriteShardSnapshot(const ShardedKb::Shard& shard,
                           const ShardInfo* info, const std::string& path) {
   SnapshotContents contents;
-  contents.entities = shard.entities;
-  contents.predicates = shard.predicates;
+  contents.entities = shard.entities.parts();
+  contents.predicates = shard.predicates.parts();
   contents.aliases = &shard.alias_index;
-  contents.facts = shard.facts;
+  contents.facts = shard.facts->facts;
   contents.shard = info;
-  contents.fact_ids = shard.fact_ids;
+  contents.fact_ids = shard.facts->fact_ids;
   return WriteSnapshot(contents, path);
 }
 
@@ -922,8 +936,8 @@ Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path) {
     return Status::FailedPrecondition("KB must be finalized before saving");
   }
   SnapshotContents contents;
-  contents.entities = kb.entities();
-  contents.predicates = kb.predicates();
+  contents.entities = {kb.entities(), {}};
+  contents.predicates = {kb.predicates(), {}};
   contents.aliases = &kb.alias_index();
   contents.facts = kb.facts();
   return WriteSnapshot(contents, path);
@@ -996,7 +1010,7 @@ Result<ShardedKb> ShardedKb::Load(const std::string& path,
                                      embeddings_path, options, timer));
     const auto num_entities = static_cast<int32_t>(shard.entities.size());
     const auto num_predicates = static_cast<int32_t>(shard.predicates.size());
-    const auto num_facts = static_cast<int64_t>(shard.facts.size());
+    const auto num_facts = static_cast<int64_t>(shard.facts->facts.size());
     shards.push_back(std::move(shard));
     return ShardedKb(std::move(shards), num_entities, num_predicates,
                      num_facts);
@@ -1189,30 +1203,73 @@ Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path) {
   return info;
 }
 
+namespace {
+
+// DeriveGazetteer's two rules, shared by the full and the layered derive.
+// A surface's sense is its highest-prior entity posting, ties broken
+// toward the smaller entity id.
+using Sense = std::pair<double, EntityId>;
+bool BetterSense(const AliasPosting& posting, const Sense& best) {
+  return posting.prior > best.first ||
+         (posting.prior == best.first && posting.concept_ref.id < best.second);
+}
+// Whether a (folded) surface is spottable in lowercase text.
+bool LowercaseSurface(std::string_view surface) {
+  return !surface.empty() &&
+         std::islower(static_cast<unsigned char>(surface[0])) != 0;
+}
+
+}  // namespace
+
 text::Gazetteer DeriveGazetteer(const KbView& view) {
   text::Gazetteer gazetteer;
   // Collect, per surface, the highest-prior entity posting.  Postings may
   // arrive in any order, one surface split into several runs (one per
-  // shard); ties on prior break toward the smaller entity id, so the result
-  // does not depend on the visitation order or the shard count.
-  std::unordered_map<std::string, std::pair<double, EntityId>> best;
+  // shard); the tie-break makes the result independent of the visitation
+  // order and the shard count.
+  std::unordered_map<std::string, Sense> best;
   view.VisitAliasPostings(
       [&best](std::string_view surface, const AliasPosting& posting) {
         if (!posting.concept_ref.is_entity()) return;
         auto [it, inserted] = best.emplace(
             std::string(surface),
-            std::make_pair(posting.prior, posting.concept_ref.id));
-        if (!inserted && (posting.prior > it->second.first ||
-                          (posting.prior == it->second.first &&
-                           posting.concept_ref.id < it->second.second))) {
+            Sense(posting.prior, posting.concept_ref.id));
+        if (!inserted && BetterSense(posting, it->second)) {
           it->second = {posting.prior, posting.concept_ref.id};
         }
       });
   for (const auto& [surface, sense] : best) {
-    bool lowercase =
-        !surface.empty() &&
-        std::islower(static_cast<unsigned char>(surface[0])) != 0;
-    gazetteer.AddSurface(surface, view.entity(sense.second).type, lowercase);
+    gazetteer.AddSurface(surface, view.entity(sense.second).type,
+                         LowercaseSurface(surface));
+  }
+  return gazetteer;
+}
+
+text::Gazetteer DeriveGazetteer(
+    const std::shared_ptr<const text::Gazetteer>& parent, const ShardedKb& kb,
+    std::span<const std::string> touched_surfaces) {
+  text::Gazetteer gazetteer = text::Gazetteer::Extend(parent);
+  std::vector<AliasPosting> postings;
+  for (const std::string& surface : touched_surfaces) {
+    // Straight from each shard's alias index: no lookup fault point and no
+    // dependency observation, as in the full derive's posting visit.
+    postings.clear();
+    for (int s = 0; s < kb.num_shards(); ++s) {
+      kb.shard(s).alias_index.GetInterleavedPostings(surface, &postings);
+    }
+    std::optional<Sense> best;
+    for (const AliasPosting& posting : postings) {
+      if (!posting.concept_ref.is_entity()) continue;
+      if (!best.has_value() || BetterSense(posting, *best)) {
+        best = Sense(posting.prior, posting.concept_ref.id);
+      }
+    }
+    if (best.has_value()) {
+      gazetteer.SetSurface(surface, kb.entity(best->second).type,
+                           LowercaseSurface(surface));
+    } else {
+      gazetteer.SetSurface(surface, std::nullopt, false);
+    }
   }
   return gazetteer;
 }

@@ -2,6 +2,8 @@
 #define TENET_KB_IO_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,7 @@ struct EmbFileInfo {
 Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path);
 
 class KbView;
+class ShardedKb;
 
 /// Derives an NER gazetteer from a KB: every alias surface is registered
 /// under the type of its most probable entity sense (ties broken toward the
@@ -119,6 +122,16 @@ class KbView;
 /// spottable in lowercase text.  This is how a loaded KB becomes usable by
 /// the extraction pipeline without persisting the gazetteer separately.
 text::Gazetteer DeriveGazetteer(const KbView& view);
+
+/// The gazetteer of `kb` when `parent` is that of the KB `kb` was derived
+/// from by a delta that touched only `touched_surfaces` (folded; what
+/// AppliedDelta reports): a layered gazetteer over `parent` in which
+/// exactly those surfaces are re-derived under DeriveGazetteer's rules.  A
+/// surface left with no entity posting is removed.  O(touched surfaces +
+/// overlay of `parent`).
+text::Gazetteer DeriveGazetteer(
+    const std::shared_ptr<const text::Gazetteer>& parent, const ShardedKb& kb,
+    std::span<const std::string> touched_surfaces);
 
 }  // namespace kb
 }  // namespace tenet

@@ -24,10 +24,13 @@ ShardedKb::ShardedKb(std::vector<Shard> shards, int32_t num_entities,
       shard_ops_("kb/shard"),
       embedding_ops_("embedding/fetch") {
   TENET_CHECK(!shards_.empty());
-  for (const Shard& shard : shards_) {
+  for (Shard& shard : shards_) {
     TENET_CHECK(shard.embeddings != nullptr && shard.embeddings->finalized());
     TENET_CHECK(shard.alias_index.finalized());
-    TENET_CHECK_EQ(shard.facts.size(), shard.fact_ids.size());
+    TENET_CHECK(shard.facts != nullptr);
+    TENET_CHECK_EQ(shard.facts->facts.size(), shard.facts->fact_ids.size());
+    shard.entities.Seal();
+    shard.predicates.Seal();
   }
   dimension_ = shards_[0].embeddings->dimension();
   obs::MetricsRegistry* registry = obs::MetricsRegistry::Default();
@@ -49,10 +52,7 @@ ShardedKb::ShardedKb(std::vector<Shard> shards, int32_t num_entities,
       "degrades; it does not fail)");
 }
 
-void ShardedKb::RouteFact(std::vector<Shard>& shards, const Triple& t,
-                          int64_t fact_id) {
-  const int n = static_cast<int>(shards.size());
-  int targets[3];
+int ShardedKb::FactShards(const Triple& t, int num_shards, int targets[3]) {
   int num_targets = 0;
   auto add_target = [&](int s) {
     for (int i = 0; i < num_targets; ++i) {
@@ -60,72 +60,79 @@ void ShardedKb::RouteFact(std::vector<Shard>& shards, const Triple& t,
     }
     targets[num_targets++] = s;
   };
-  add_target(HomeShard(t.subject, n));
-  if (t.object_is_entity) add_target(HomeShard(t.object_entity, n));
-  add_target(HomeShard(t.predicate, n));
+  add_target(HomeShard(t.subject, num_shards));
+  if (t.object_is_entity) add_target(HomeShard(t.object_entity, num_shards));
+  add_target(HomeShard(t.predicate, num_shards));
+  return num_targets;
+}
+
+void ShardedKb::RouteFact(std::span<FactArena* const> arenas, const Triple& t,
+                          int64_t fact_id) {
+  int targets[3];
+  const int num_targets =
+      FactShards(t, static_cast<int>(arenas.size()), targets);
   for (int i = 0; i < num_targets; ++i) {
-    shards[targets[i]].facts.push_back(t);
-    shards[targets[i]].fact_ids.push_back(fact_id);
+    arenas[targets[i]]->facts.push_back(t);
+    arenas[targets[i]]->fact_ids.push_back(fact_id);
   }
 }
 
-void ShardedKb::BuildShardIndexes(Shard& shard, int num_shards,
+void ShardedKb::BuildShardIndexes(FactArena& arena, size_t num_local_entities,
+                                  size_t num_local_predicates, int num_shards,
                                   int shard_index) {
   // The per-shard analogue of KnowledgeBase::Finalize's counted two-pass
   // CSR build: identical participation rules (subject always; entity
   // object when distinct from the subject; predicate always), restricted
-  // to concepts homed on this shard.  shard.facts is in ascending global
+  // to concepts homed on this shard.  arena.facts is in ascending global
   // fact id order, so every per-concept sequence comes out in exactly the
   // flat substrate's order.
-  const size_t num_local_entities = shard.entities.size();
-  const size_t num_local_predicates = shard.predicates.size();
-  shard.entity_fact_offsets.assign(num_local_entities + 1, 0);
-  shard.predicate_fact_offsets.assign(num_local_predicates + 1, 0);
+  arena.entity_fact_offsets.assign(num_local_entities + 1, 0);
+  arena.predicate_fact_offsets.assign(num_local_predicates + 1, 0);
   auto local_entity = [&](EntityId id) -> int32_t {
     return HomeShard(id, num_shards) == shard_index
                ? LocalIndex(id, num_shards)
                : -1;
   };
-  for (const Triple& t : shard.facts) {
+  for (const Triple& t : arena.facts) {
     int32_t subject = local_entity(t.subject);
-    if (subject >= 0) ++shard.entity_fact_offsets[subject + 1];
+    if (subject >= 0) ++arena.entity_fact_offsets[subject + 1];
     if (t.object_is_entity && t.object_entity != t.subject) {
       int32_t object = local_entity(t.object_entity);
-      if (object >= 0) ++shard.entity_fact_offsets[object + 1];
+      if (object >= 0) ++arena.entity_fact_offsets[object + 1];
     }
     if (HomeShard(t.predicate, num_shards) == shard_index) {
-      ++shard.predicate_fact_offsets[LocalIndex(t.predicate, num_shards) + 1];
+      ++arena.predicate_fact_offsets[LocalIndex(t.predicate, num_shards) + 1];
     }
   }
-  for (size_t i = 1; i < shard.entity_fact_offsets.size(); ++i) {
-    shard.entity_fact_offsets[i] += shard.entity_fact_offsets[i - 1];
+  for (size_t i = 1; i < arena.entity_fact_offsets.size(); ++i) {
+    arena.entity_fact_offsets[i] += arena.entity_fact_offsets[i - 1];
   }
-  for (size_t i = 1; i < shard.predicate_fact_offsets.size(); ++i) {
-    shard.predicate_fact_offsets[i] += shard.predicate_fact_offsets[i - 1];
+  for (size_t i = 1; i < arena.predicate_fact_offsets.size(); ++i) {
+    arena.predicate_fact_offsets[i] += arena.predicate_fact_offsets[i - 1];
   }
-  shard.entity_fact_pos.resize(shard.entity_fact_offsets.back());
-  shard.predicate_fact_pos.resize(shard.predicate_fact_offsets.back());
-  std::vector<uint32_t> entity_cursor(shard.entity_fact_offsets.begin(),
-                                      shard.entity_fact_offsets.end() - 1);
+  arena.entity_fact_pos.resize(arena.entity_fact_offsets.back());
+  arena.predicate_fact_pos.resize(arena.predicate_fact_offsets.back());
+  std::vector<uint32_t> entity_cursor(arena.entity_fact_offsets.begin(),
+                                      arena.entity_fact_offsets.end() - 1);
   std::vector<uint32_t> predicate_cursor(
-      shard.predicate_fact_offsets.begin(),
-      shard.predicate_fact_offsets.end() - 1);
-  for (size_t pos = 0; pos < shard.facts.size(); ++pos) {
-    const Triple& t = shard.facts[pos];
+      arena.predicate_fact_offsets.begin(),
+      arena.predicate_fact_offsets.end() - 1);
+  for (size_t pos = 0; pos < arena.facts.size(); ++pos) {
+    const Triple& t = arena.facts[pos];
     int32_t subject = local_entity(t.subject);
     if (subject >= 0) {
-      shard.entity_fact_pos[entity_cursor[subject]++] =
+      arena.entity_fact_pos[entity_cursor[subject]++] =
           static_cast<int32_t>(pos);
     }
     if (t.object_is_entity && t.object_entity != t.subject) {
       int32_t object = local_entity(t.object_entity);
       if (object >= 0) {
-        shard.entity_fact_pos[entity_cursor[object]++] =
+        arena.entity_fact_pos[entity_cursor[object]++] =
             static_cast<int32_t>(pos);
       }
     }
     if (HomeShard(t.predicate, num_shards) == shard_index) {
-      shard.predicate_fact_pos
+      arena.predicate_fact_pos
           [predicate_cursor[LocalIndex(t.predicate, num_shards)]++] =
           static_cast<int32_t>(pos);
     }
@@ -183,35 +190,45 @@ ShardedKb ShardedKb::Partition(const KnowledgeBase& kb,
 
   // Facts: replicated to the home shard of every participant, ascending
   // global id.
+  std::vector<FactArena> arenas(n);
+  std::vector<FactArena*> arena_ptrs;
+  for (FactArena& arena : arenas) arena_ptrs.push_back(&arena);
   const std::vector<Triple>& facts = kb.facts();
   for (size_t f = 0; f < facts.size(); ++f) {
-    RouteFact(shards, facts[f], static_cast<int64_t>(f));
+    RouteFact(arena_ptrs, facts[f], static_cast<int64_t>(f));
   }
-  for (int s = 0; s < n; ++s) BuildShardIndexes(shards[s], n, s);
+  for (int s = 0; s < n; ++s) {
+    BuildShardIndexes(arenas[s], shards[s].entities.size(),
+                      shards[s].predicates.size(), n, s);
+    shards[s].facts = std::make_shared<const FactArena>(std::move(arenas[s]));
+  }
 
   // Embeddings: copy each concept's float row into its home shard and
   // re-finalize — per-row normalization over identical floats is
   // bit-identical to the flat store's unit rows.
+  std::vector<embedding::EmbeddingStore> stores;
+  stores.reserve(n);
   for (int s = 0; s < n; ++s) {
-    Shard& shard = shards[s];
-    shard.embeddings = std::make_unique<embedding::EmbeddingStore>(
-        embeddings.dimension(),
-        static_cast<int32_t>(shard.entities.size()),
-        static_cast<int32_t>(shard.predicates.size()));
+    stores.emplace_back(embeddings.dimension(),
+                        static_cast<int32_t>(shards[s].entities.size()),
+                        static_cast<int32_t>(shards[s].predicates.size()));
   }
   auto copy_rows = [&](ConceptRef::Kind kind, int32_t count) {
     for (int32_t id = 0; id < count; ++id) {
       ConceptRef global{kind, id};
       ConceptRef local{kind, LocalIndex(id, n)};
       std::span<const float> src = embeddings.Vector(global);
-      std::span<float> dst =
-          shards[HomeShard(id, n)].embeddings->MutableVector(local);
+      std::span<float> dst = stores[HomeShard(id, n)].MutableVector(local);
       std::copy(src.begin(), src.end(), dst.begin());
     }
   };
   copy_rows(ConceptRef::Kind::kEntity, kb.num_entities());
   copy_rows(ConceptRef::Kind::kPredicate, kb.num_predicates());
-  for (int s = 0; s < n; ++s) shards[s].embeddings->Finalize();
+  for (int s = 0; s < n; ++s) {
+    stores[s].Finalize();
+    shards[s].embeddings =
+        std::make_shared<const embedding::EmbeddingStore>(std::move(stores[s]));
+  }
 
   return ShardedKb(std::move(shards), kb.num_entities(),
                    kb.num_predicates(), kb.num_facts());
@@ -310,24 +327,26 @@ std::vector<PredicateCandidate> ShardedKb::CandidatePredicates(
 void ShardedKb::VisitFactsOfEntity(EntityId id,
                                    const FactVisitor& visitor) const {
   TENET_CHECK(id >= 0 && id < num_entities_);
-  const Shard& shard = shards_[HomeShard(id, num_shards())];
-  int32_t local = LocalIndex(id, num_shards());
-  for (uint32_t i = shard.entity_fact_offsets[local];
-       i < shard.entity_fact_offsets[local + 1]; ++i) {
-    int32_t pos = shard.entity_fact_pos[i];
-    if (!visitor(shard.fact_ids[pos], shard.facts[pos])) return;
+  const FactArena& arena = *shards_[HomeShard(id, num_shards())].facts;
+  const size_t local = LocalIndex(id, num_shards());
+  if (local + 1 >= arena.entity_fact_offsets.size()) return;
+  for (uint32_t i = arena.entity_fact_offsets[local];
+       i < arena.entity_fact_offsets[local + 1]; ++i) {
+    int32_t pos = arena.entity_fact_pos[i];
+    if (!visitor(arena.fact_ids[pos], arena.facts[pos])) return;
   }
 }
 
 void ShardedKb::VisitFactsOfPredicate(PredicateId id,
                                       const FactVisitor& visitor) const {
   TENET_CHECK(id >= 0 && id < num_predicates_);
-  const Shard& shard = shards_[HomeShard(id, num_shards())];
-  int32_t local = LocalIndex(id, num_shards());
-  for (uint32_t i = shard.predicate_fact_offsets[local];
-       i < shard.predicate_fact_offsets[local + 1]; ++i) {
-    int32_t pos = shard.predicate_fact_pos[i];
-    if (!visitor(shard.fact_ids[pos], shard.facts[pos])) return;
+  const FactArena& arena = *shards_[HomeShard(id, num_shards())].facts;
+  const size_t local = LocalIndex(id, num_shards());
+  if (local + 1 >= arena.predicate_fact_offsets.size()) return;
+  for (uint32_t i = arena.predicate_fact_offsets[local];
+       i < arena.predicate_fact_offsets[local + 1]; ++i) {
+    int32_t pos = arena.predicate_fact_pos[i];
+    if (!visitor(arena.fact_ids[pos], arena.facts[pos])) return;
   }
 }
 

@@ -36,16 +36,22 @@ std::unique_ptr<baselines::TenetLinker> MakeLinker(
   return std::make_unique<baselines::TenetLinker>(substrate, options);
 }
 
+// The full derive, for a generation that has no parent to layer over.
+std::shared_ptr<const text::Gazetteer> FullGazetteer(const kb::ShardedKb& kb) {
+  return std::make_shared<const text::Gazetteer>(kb::DeriveGazetteer(kb));
+}
+
 }  // namespace
 
 KbGeneration::KbGeneration(std::shared_ptr<const kb::ShardedKb> kb,
+                           std::shared_ptr<const text::Gazetteer> gazetteer,
                            uint64_t id, kb::DeltaApplyStats delta_stats,
                            const core::TenetOptions& options)
     : id_(id),
       kb_(std::move(kb)),
-      gazetteer_(kb::DeriveGazetteer(*kb_)),
+      gazetteer_(std::move(gazetteer)),
       delta_stats_(delta_stats),
-      linker_(MakeLinker(kb_, &gazetteer_, options)) {}
+      linker_(MakeLinker(kb_, gazetteer_.get(), options)) {}
 
 std::shared_ptr<const KbGeneration> KbGeneration::FromShardedKb(
     std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
@@ -53,9 +59,10 @@ std::shared_ptr<const KbGeneration> KbGeneration::FromShardedKb(
   TENET_CHECK(sharded != nullptr);
   // Not make_shared: the constructor is private, and the control block
   // sharing make_shared buys is noise next to the KB itself.
+  std::shared_ptr<const text::Gazetteer> gazetteer = FullGazetteer(*sharded);
   return std::shared_ptr<const KbGeneration>(
-      new KbGeneration(std::move(sharded), id, kb::DeltaApplyStats{},
-                       options));
+      new KbGeneration(std::move(sharded), std::move(gazetteer), id,
+                       kb::DeltaApplyStats{}, options));
 }
 
 std::shared_ptr<const KbGeneration> KbGeneration::FromSubstrate(
@@ -91,17 +98,21 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
   }
   TENET_ASSIGN_OR_RETURN(kb::AppliedDelta applied,
                          kb::ApplyDeltas(base, segments));
+  auto kb = std::make_shared<const kb::ShardedKb>(std::move(applied.kb));
+  std::shared_ptr<const text::Gazetteer> gazetteer = FullGazetteer(*kb);
   return std::shared_ptr<const KbGeneration>(new KbGeneration(
-      std::make_shared<const kb::ShardedKb>(std::move(applied.kb)), id,
-      applied.stats, options));
+      std::move(kb), std::move(gazetteer), id, applied.stats, options));
 }
 
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
     std::span<const kb::DeltaSegment> segments, uint64_t id) const {
   TENET_ASSIGN_OR_RETURN(kb::AppliedDelta applied,
                          kb::ApplyDeltas(*kb_, segments));
+  auto kb = std::make_shared<const kb::ShardedKb>(std::move(applied.kb));
+  auto gazetteer = std::make_shared<const text::Gazetteer>(
+      kb::DeriveGazetteer(gazetteer_, *kb, applied.touched_surfaces));
   return std::shared_ptr<const KbGeneration>(new KbGeneration(
-      std::make_shared<const kb::ShardedKb>(std::move(applied.kb)), id,
+      std::move(kb), std::move(gazetteer), id,
       Accumulate(delta_stats_, applied.stats),
       linker_->pipeline().options()));
 }

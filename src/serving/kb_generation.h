@@ -29,9 +29,11 @@ namespace serving {
 // for their whole lifetime, so everything here must be — and is —
 // immutable after construction.
 //
-// Generations are heap-only (shared_ptr from the factories, never moved):
-// the linker holds a raw pointer to the sibling gazetteer, which therefore
-// must sit at its final address before the linker is built.  The `id` is
+// Generations are heap-only (shared_ptr from the factories, never moved);
+// the linker holds a raw pointer to the generation's gazetteer.  A
+// generation derived by WithDeltas shares its parent's KB parts and
+// gazetteer and owns only the delta's overlays (DESIGN.md §12), so
+// deriving, swapping in and retiring one costs O(delta), not O(KB).  The `id` is
 // the monotonically increasing generation number the caller assigns; the
 // serving layer requires each published generation's id to exceed the one
 // it replaces.  Every factory takes the pipeline tuning of the
@@ -66,7 +68,8 @@ class KbGeneration {
 
   /// A new generation = this one + `segments` (applied in order, shard by
   /// shard), linked with this generation's pipeline options.  The receiver
-  /// is untouched and keeps serving.
+  /// is untouched and keeps serving.  Only the surfaces the delta touched
+  /// are re-derived into the new gazetteer's overlay.
   Result<std::shared_ptr<const KbGeneration>> WithDeltas(
       std::span<const kb::DeltaSegment> segments, uint64_t id) const;
 
@@ -88,20 +91,21 @@ class KbGeneration {
   const kb::KbView& view() const { return *kb_; }
   const kb::ShardedKb& kb() const { return *kb_; }
   const kb::ShardedKb& embeddings() const { return *kb_; }
-  const text::Gazetteer& gazetteer() const { return gazetteer_; }
+  const text::Gazetteer& gazetteer() const { return *gazetteer_; }
   const baselines::TenetLinker& linker() const { return *linker_; }
   /// Cumulative apply stats across every delta folded into this generation
   /// (all zero for a pure snapshot).
   const kb::DeltaApplyStats& delta_stats() const { return delta_stats_; }
 
  private:
-  KbGeneration(std::shared_ptr<const kb::ShardedKb> kb, uint64_t id,
+  KbGeneration(std::shared_ptr<const kb::ShardedKb> kb,
+               std::shared_ptr<const text::Gazetteer> gazetteer, uint64_t id,
                kb::DeltaApplyStats delta_stats,
                const core::TenetOptions& options);
 
   const uint64_t id_;
   const std::shared_ptr<const kb::ShardedKb> kb_;
-  const text::Gazetteer gazetteer_;
+  const std::shared_ptr<const text::Gazetteer> gazetteer_;
   const kb::DeltaApplyStats delta_stats_;
   std::unique_ptr<baselines::TenetLinker> linker_;
 };

@@ -70,12 +70,12 @@ TEST(KbIoTest, KnowledgeBaseRoundTrip) {
     EXPECT_EQ(a.entity(id).domain, b.entity(id).domain);
     EXPECT_DOUBLE_EQ(a.entity(id).popularity, b.entity(id).popularity);
   }
-  const std::vector<Triple>& b_facts = b.shard(0).facts;
+  const std::vector<Triple>& b_facts = b.shard(0).facts->facts;
   for (int32_t i = 0; i < a.num_facts(); ++i) {
     EXPECT_EQ(a.facts()[i].subject, b_facts[i].subject);
     EXPECT_EQ(a.facts()[i].predicate, b_facts[i].predicate);
     EXPECT_EQ(a.facts()[i].object_is_entity, b_facts[i].object_is_entity);
-    EXPECT_EQ(b.shard(0).fact_ids[i], i);
+    EXPECT_EQ(b.shard(0).facts->fact_ids[i], i);
   }
 
   // Candidate distributions round-trip exactly (priors are re-normalized
@@ -106,8 +106,8 @@ TEST(KbIoTest, LiteralFactsRoundTrip) {
   Result<ShardedKb> loaded = LoadFlatPair(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->num_facts(), 1);
-  EXPECT_FALSE(loaded->shard(0).facts[0].object_is_entity);
-  EXPECT_EQ(loaded->shard(0).facts[0].object_literal, "1898");
+  EXPECT_FALSE(loaded->shard(0).facts->facts[0].object_is_entity);
+  EXPECT_EQ(loaded->shard(0).facts->facts[0].object_literal, "1898");
 }
 
 TEST(KbIoTest, LoadRejectsGarbage) {
