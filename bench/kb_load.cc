@@ -1,6 +1,7 @@
 // Snapshot-load benchmark: the flat TENETKB3 + TENETEMB1 pair loaded
 // buffered and zero-copy (mmap) through the one loader (ShardedKb::Load,
-// as its 1-shard layout), a delta replay on top of it, the TENETEMB1
+// as its 1-shard layout), a delta replay on top of it, one live update of
+// a loaded generation (KbGeneration::WithDeltas), the TENETEMB1
 // embedding container alone streamed vs mapped, and sharded layouts.  This
 // is the number behind the README loading-time table.
 //
@@ -11,6 +12,7 @@
 // critical-path scaling against the 1-shard layout.
 #include <cstdio>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "kb/io.h"
 #include "kb/sharded_kb.h"
 #include "kb/synthetic_kb.h"
+#include "serving/kb_generation.h"
 
 namespace {
 
@@ -174,6 +177,40 @@ int main(int argc, char** argv) {
       records.push_back(bench::JsonRecord{
           std::string("kb_load/delta_replay/") + size.name, ms * 1e6,
           items / (ms / 1e3), 0.0});
+    }
+
+    // Live update (DESIGN.md §12): one KbGeneration::WithDeltas of a
+    // one-entity delta (label, alias, embedding row) on the loaded pair,
+    // gazetteer derive included — what a serving process pays to build the
+    // next generation before it swaps it in.  The new generation shares
+    // the base's parts, so this stays flat as the KB grows.  The rate
+    // column is updates per second; freeing the generation is untimed.
+    {
+      Result<std::shared_ptr<const serving::KbGeneration>> base =
+          serving::KbGeneration::Load(bin_path, emb_path, {}, /*id=*/1);
+      if (!base.ok()) {
+        std::fprintf(stderr, "load failed: %s\n",
+                     base.status().ToString().c_str());
+        return 1;
+      }
+      kb::DeltaBuilder builder((*base)->kb());
+      const std::string label = std::string("live update ") + size.name;
+      const kb::EntityId id =
+          builder.AddEntity(label, kb::EntityType::kPerson);
+      builder.AddEntityAlias(id, label + " alias", 1.0);
+      Rng row_rng(4242);
+      std::vector<float> row(static_cast<size_t>(embeddings.dimension()));
+      for (float& v : row) v = static_cast<float>(row_rng.NextGaussian());
+      builder.SetEmbedding(kb::ConceptRef::Entity(id), row);
+      const std::vector<kb::DeltaSegment> segments = {builder.Build()};
+      const double ms = BestMillis(std::max(reps, 20), [&] {
+        return (*base)->WithDeltas(segments, /*id=*/2);
+      });
+      std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name, "with_deltas",
+                  ms, 1e3 / ms, "-");
+      records.push_back(bench::JsonRecord{
+          std::string("kb_load/with_deltas/") + size.name, ms * 1e6, 1e3 / ms,
+          0.0});
     }
 
     const double emb_items = static_cast<double>(world.kb.num_entities()) +
