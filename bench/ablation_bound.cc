@@ -49,8 +49,7 @@ int main() {
               "cost <= 4B*");
   bench::PrintRule(66);
   text::Extractor extractor(&env.world.gazetteer());
-  core::CoherenceGraphBuilder builder(&env.world.kb(),
-                                      &env.world.embeddings);
+  core::CoherenceGraphBuilder builder(env.world.view);
   core::TreeCoverSolver solver;
   for (int i = 0; i < 5; ++i) {
     const datasets::Document& doc = news.documents[i];

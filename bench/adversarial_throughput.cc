@@ -113,8 +113,7 @@ void Run(const JsonArgs& json_args) {
   // world (BuildWorld is deterministic, so it matches the environment's).
   datasets::SyntheticWorld world = datasets::BuildWorld();
   std::shared_ptr<const serving::KbGeneration> generation =
-      serving::KbGeneration::FromSubstrate(world.kb(), world.embeddings,
-                                           /*id=*/1);
+      serving::KbGeneration::FromShardedKb(world.view, /*id=*/1);
 
   const datasets::Dataset& clean = env.dataset("T-REx42");
   std::vector<std::string> clean_texts;

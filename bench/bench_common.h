@@ -56,8 +56,8 @@ inline const Environment& GetEnvironment() {
 }
 
 inline baselines::BaselineSubstrate MakeSubstrate(const Environment& env) {
-  return baselines::BaselineSubstrate{&env.world.kb(), &env.world.embeddings,
-                                      &env.world.gazetteer(), {}, {}};
+  return baselines::BaselineSubstrate{env.world.view, &env.world.gazetteer(),
+                                      {}};
 }
 
 /// The systems in the paper's Table 3 row order, plus the Pair-Linking

@@ -165,9 +165,8 @@ void Run(const JsonArgs& json_args) {
   huge_spec.name = "MSNBC19-huge";
   huge_spec.num_docs = json_args.smoke ? 4 : huge_spec.num_docs;
   datasets::Dataset huge_dataset = huge_generator.Generate(huge_spec, rng);
-  baselines::BaselineSubstrate huge_substrate{
-      &huge_world.kb(), &huge_world.embeddings, &huge_world.gazetteer(),
-      {}, {}};
+  baselines::BaselineSubstrate huge_substrate{huge_world.view,
+                                              &huge_world.gazetteer(), {}};
   SweepDataset(huge_substrate, "huge", huge_dataset, &rows);
 
   PrintRule();

@@ -1,8 +1,9 @@
 // Snapshot-load benchmark: the flat TENETKB3 + TENETEMB1 pair loaded
 // buffered and zero-copy (mmap) through the one loader (ShardedKb::Load,
 // as its 1-shard layout), a delta replay on top of it, one live update of
-// a loaded generation (KbGeneration::WithDeltas), the TENETEMB1
-// embedding container alone streamed vs mapped, and sharded layouts.  This
+// a loaded generation (KbGeneration::WithDeltas) fresh and 1000 updates
+// deep, the TENETEMB1 embedding container alone streamed vs mapped, and
+// sharded layouts.  This
 // is the number behind the README loading-time table.
 //
 // `--json <path>` writes {bench, ns_per_op, pairs_per_sec, speedup} records
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <algorithm>
@@ -62,6 +64,21 @@ double BestMillis(int reps, LoadFn&& load) {
     if (r == 0 || ms < best) best = ms;
   }
   return best;
+}
+
+// A one-entity live update on top of `kb`: a new entity named `label`,
+// one extra alias and an embedding row drawn from `seed`.
+std::vector<kb::DeltaSegment> OneEntityDelta(const kb::ShardedKb& kb,
+                                             const std::string& label,
+                                             uint64_t seed) {
+  kb::DeltaBuilder builder(kb);
+  const kb::EntityId id = builder.AddEntity(label, kb::EntityType::kPerson);
+  builder.AddEntityAlias(id, label + " alias", 1.0);
+  Rng row_rng(seed);
+  std::vector<float> row(static_cast<size_t>(kb.dimension()));
+  for (float& v : row) v = static_cast<float>(row_rng.NextGaussian());
+  builder.SetEmbedding(kb::ConceptRef::Entity(id), row);
+  return {builder.Build()};
 }
 
 }  // namespace
@@ -180,12 +197,23 @@ int main(int argc, char** argv) {
     }
 
     // Live update (DESIGN.md §12): one KbGeneration::WithDeltas of a
-    // one-entity delta (label, alias, embedding row) on the loaded pair,
-    // gazetteer derive included — what a serving process pays to build the
-    // next generation before it swaps it in.  The new generation shares
-    // the base's parts, so this stays flat as the KB grows.  The rate
-    // column is updates per second; freeing the generation is untimed.
+    // one-entity delta (label, alias, embedding row), gazetteer derive
+    // included — what a serving process pays to build the next generation
+    // before it swaps it in.  Two rows:
+    //
+    //   with_deltas       on the loaded pair.  The new generation shares
+    //                     the base's parts, so this stays flat as the KB
+    //                     grows.
+    //   with_deltas_deep  on a generation already kDeepChain one-entity
+    //                     updates past the loaded pair.  Each generation
+    //                     copies its chain's cumulative overlay, so this
+    //                     grows with the updates applied since the last
+    //                     Compact or ScheduleMerge.
+    //
+    // The rate column is updates per second; freeing the generation and
+    // building the chain are untimed.
     {
+      constexpr int kDeepChain = 1000;
       Result<std::shared_ptr<const serving::KbGeneration>> base =
           serving::KbGeneration::Load(bin_path, emb_path, {}, /*id=*/1);
       if (!base.ok()) {
@@ -193,24 +221,36 @@ int main(int argc, char** argv) {
                      base.status().ToString().c_str());
         return 1;
       }
-      kb::DeltaBuilder builder((*base)->kb());
+      std::shared_ptr<const serving::KbGeneration> deep = *base;
+      for (int i = 0; i < kDeepChain; ++i) {
+        Result<std::shared_ptr<const serving::KbGeneration>> next =
+            deep->WithDeltas(
+                OneEntityDelta(deep->kb(),
+                               "chain update " + std::to_string(i), i),
+                deep->id() + 1);
+        if (!next.ok()) {
+          std::fprintf(stderr, "chain update failed: %s\n",
+                       next.status().ToString().c_str());
+          return 1;
+        }
+        deep = std::move(*next);
+      }
       const std::string label = std::string("live update ") + size.name;
-      const kb::EntityId id =
-          builder.AddEntity(label, kb::EntityType::kPerson);
-      builder.AddEntityAlias(id, label + " alias", 1.0);
-      Rng row_rng(4242);
-      std::vector<float> row(static_cast<size_t>(embeddings.dimension()));
-      for (float& v : row) v = static_cast<float>(row_rng.NextGaussian());
-      builder.SetEmbedding(kb::ConceptRef::Entity(id), row);
-      const std::vector<kb::DeltaSegment> segments = {builder.Build()};
-      const double ms = BestMillis(std::max(reps, 20), [&] {
-        return (*base)->WithDeltas(segments, /*id=*/2);
-      });
-      std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name, "with_deltas",
-                  ms, 1e3 / ms, "-");
-      records.push_back(bench::JsonRecord{
-          std::string("kb_load/with_deltas/") + size.name, ms * 1e6, 1e3 / ms,
-          0.0});
+      const std::pair<const char*,
+                      std::shared_ptr<const serving::KbGeneration>>
+          rows[] = {{"with_deltas", *base}, {"with_deltas_deep", deep}};
+      for (const auto& [name, generation] : rows) {
+        const std::vector<kb::DeltaSegment> segments =
+            OneEntityDelta(generation->kb(), label, 4242);
+        const double ms = BestMillis(std::max(reps, 20), [&] {
+          return generation->WithDeltas(segments, generation->id() + 1);
+        });
+        std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name, name, ms,
+                    1e3 / ms, "-");
+        records.push_back(bench::JsonRecord{
+            std::string("kb_load/") + name + "/" + size.name, ms * 1e6,
+            1e3 / ms, 0.0});
+      }
     }
 
     const double emb_items = static_cast<double>(world.kb.num_entities()) +

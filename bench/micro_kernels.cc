@@ -277,8 +277,7 @@ core::CoherenceGraph BuildBenchGraph() {
   core::MentionSet mentions = core::BuildMentionSet(
       extractor.ExtractFromText(BenchDocument().text),
       &env.world.gazetteer());
-  core::CoherenceGraphBuilder builder(&env.world.kb(),
-                                      &env.world.embeddings);
+  core::CoherenceGraphBuilder builder(env.world.view);
   return builder.Build(std::move(mentions));
 }
 
@@ -358,8 +357,7 @@ void BM_CoherenceGraphBuild(benchmark::State& state) {
   text::Extractor extractor(&env.world.gazetteer());
   text::ExtractionResult extraction =
       extractor.ExtractFromText(BenchDocument().text);
-  core::CoherenceGraphBuilder builder(&env.world.kb(),
-                                      &env.world.embeddings);
+  core::CoherenceGraphBuilder builder(env.world.view);
   for (auto _ : state) {
     core::MentionSet mentions = core::BuildMentionSet(
         extraction, &env.world.gazetteer());

@@ -28,8 +28,7 @@ int main() {
   Rng rng(13);
   datasets::Dataset ads = generator.Generate(spec, rng);
 
-  baselines::BaselineSubstrate substrate{
-      &world.kb(), &world.embeddings, &world.gazetteer(), {}, {}};
+  baselines::BaselineSubstrate substrate{world.view, &world.gazetteer(), {}};
   baselines::TenetLinker tenet(substrate);
   baselines::QkbflyLike qkbfly(substrate);
 

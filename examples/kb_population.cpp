@@ -22,8 +22,7 @@ int main() {
   spec.num_docs = 6;
   datasets::Dataset corpus = generator.Generate(spec, rng);
 
-  core::TenetPipeline tenet(&world.kb(), &world.embeddings,
-                            &world.gazetteer());
+  core::TenetPipeline tenet(world.view, &world.gazetteer());
   core::KbPopulator populator(&world.kb());
 
   core::PopulationReport report;

@@ -69,8 +69,7 @@ std::vector<std::string> Answer(const datasets::SyntheticWorld& world,
 
 int main() {
   datasets::SyntheticWorld world = datasets::BuildWorld();
-  core::TenetPipeline tenet(&world.kb(), &world.embeddings,
-                            &world.gazetteer());
+  core::TenetPipeline tenet(world.view, &world.gazetteer());
 
   // Build a handful of answerable questions from actual KB facts, using a
   // predicate surface and the object's label.

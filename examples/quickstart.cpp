@@ -3,17 +3,20 @@
 //
 //   $ ./build/examples/quickstart
 //
-// Demonstrates the three public pieces a downstream user touches:
+// Demonstrates the public pieces a downstream user touches:
 //   kb::KnowledgeBase         — the target KB (entities, predicates, facts)
 //   embedding::EmbeddingStore — concept vectors behind Equations 3-5
+//   kb::ShardedKb             — the read-side view the linker consumes
 //   core::TenetPipeline       — extraction -> coherence graph -> tree cover
 //                               -> canopies -> disambiguation
 #include <cstdio>
+#include <memory>
 
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "embedding/trainer.h"
 #include "kb/knowledge_base.h"
+#include "kb/sharded_kb.h"
 #include "text/gazetteer.h"
 
 using namespace tenet;
@@ -68,7 +71,10 @@ int main() {
   gazetteer.AddSurface("Fellow", kb::EntityType::kOther);
 
   // ---- 4. Link a document --------------------------------------------------
-  core::TenetPipeline tenet(&knowledge_base, &embeddings, &gazetteer);
+  // The linker reads the KB + embeddings through their 1-shard layout.
+  auto view = std::make_shared<const kb::ShardedKb>(
+      kb::ShardedKb::Partition(knowledge_base, embeddings, 1));
+  core::TenetPipeline tenet(view, &gazetteer);
   const char* document =
       "Michael Jordan studies artificial intelligence and machine learning. "
       "He was awarded as the Fellow of the AAAS. "

@@ -125,16 +125,9 @@ core::MentionSet BuildCoarseMentionSet(
   return set;
 }
 
-std::shared_ptr<const kb::KbView> ResolveView(
-    const BaselineSubstrate& substrate) {
-  if (substrate.view != nullptr) return substrate.view;
-  return std::make_shared<kb::FlatKbView>(substrate.kb, substrate.embeddings);
-}
-
 core::CoherenceGraph BuildGraph(const BaselineSubstrate& substrate,
                                 core::MentionSet mentions) {
-  core::CoherenceGraphBuilder builder(ResolveView(substrate),
-                                      substrate.graph_options);
+  core::CoherenceGraphBuilder builder(substrate.view, substrate.graph_options);
   return builder.Build(std::move(mentions));
 }
 

@@ -7,33 +7,21 @@
 
 #include "core/coherence_graph.h"
 #include "core/pipeline.h"
-#include "embedding/embedding_store.h"
 #include "kb/kb_view.h"
-#include "kb/knowledge_base.h"
 #include "text/extraction.h"
 #include "text/gazetteer.h"
 
 namespace tenet {
 namespace baselines {
 
-// Shared substrate handles of all baseline linkers.  Either populate the
-// flat pair (`kb` + `embeddings`) or set `view` directly; every consumer
-// goes through ResolveView, so the systems run unchanged on a sharded
-// substrate.
+// Shared substrate handles of all baseline linkers: the KB every system
+// reads (any shard count; the synthetic world's is SyntheticWorld::view),
+// shared by pointer, and the gazetteer, which must outlive the linker.
 struct BaselineSubstrate {
-  const kb::KnowledgeBase* kb = nullptr;
-  const embedding::EmbeddingStore* embeddings = nullptr;
+  std::shared_ptr<const kb::KbView> view;
   const text::Gazetteer* gazetteer = nullptr;
   core::CoherenceGraphOptions graph_options;
-  /// When set, wins over `kb`/`embeddings` (which may then be null).
-  std::shared_ptr<const kb::KbView> view;
 };
-
-/// The substrate's KbView: `substrate.view` when set, else a FlatKbView
-/// wrapping the kb/embeddings pair (which must then be non-null and
-/// outlive the returned view).
-std::shared_ptr<const kb::KbView> ResolveView(
-    const BaselineSubstrate& substrate);
 
 // Mention-universe policies of the baselines (none performs canopy-based
 // joint selection — that is TENET's contribution):

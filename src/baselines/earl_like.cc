@@ -30,7 +30,7 @@ Result<core::LinkingResult> EarlLike::LinkMentionSet(
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();
-  KbGraphRelatedness relatedness(ResolveView(substrate_));
+  KbGraphRelatedness relatedness(substrate_.view);
   std::unordered_map<int, int> chosen;
   int previous_node = -1;
   for (int m = 0; m < cg.num_mentions(); ++m) {

@@ -31,7 +31,7 @@ Result<core::LinkingResult> KbPearlLike::LinkMentionSet(
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();
-  KbGraphRelatedness kb_relatedness(ResolveView(substrate_));
+  KbGraphRelatedness kb_relatedness(substrate_.view);
   const int num_mentions = cg.num_mentions();
 
   // KBPearl first materializes its document graph: the pairwise KB-graph

@@ -29,7 +29,7 @@ Result<core::LinkingResult> MintreeLike::LinkMentionSet(
     core::MentionSet mentions,
     const core::LinkContext& /*context*/) const {
   WallTimer timer;
-  std::shared_ptr<const kb::KbView> view = ResolveView(substrate_);
+  const kb::KbView& view = *substrate_.view;
   core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
   double graph_ms = timer.ElapsedMillis();
 
@@ -51,8 +51,8 @@ Result<core::LinkingResult> MintreeLike::LinkMentionSet(
     for (int u : cg.ConceptNodesOfMention(noun_mentions[i])) {
       for (size_t j = i + 1; j < noun_mentions.size(); ++j) {
         for (int v : cg.ConceptNodesOfMention(noun_mentions[j])) {
-          double relatedness = view->Cosine(cg.concept_node(u).ref,
-                                            cg.concept_node(v).ref);
+          double relatedness = view.Cosine(cg.concept_node(u).ref,
+                                           cg.concept_node(v).ref);
           // Pair weight: the MST objective is dominated by the semantic
           // distance; local confidence only breaks ties (Phan et al.'s
           // tree weight is built from relatedness edges).

@@ -31,7 +31,7 @@ Result<core::LinkingResult> PairlinkLike::LinkMentionSet(
     core::MentionSet mentions,
     const core::LinkContext& /*context*/) const {
   WallTimer timer;
-  std::shared_ptr<const kb::KbView> view = ResolveView(substrate_);
+  const kb::KbView& view = *substrate_.view;
   core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
   double graph_ms = timer.ElapsedMillis();
 
@@ -47,7 +47,7 @@ Result<core::LinkingResult> PairlinkLike::LinkMentionSet(
       Deadline::Infinite(),
       [&view](const core::PairLinkCandidate& u,
               const core::PairLinkCandidate& v) {
-        return view->Cosine(u.ref, v.ref);
+        return view.Cosine(u.ref, v.ref);
       });
   std::unordered_map<int, int> chosen;
   for (size_t idx = 0; idx < nouns.size(); ++idx) {

@@ -26,7 +26,7 @@ Result<core::LinkingResult> QkbflyLike::LinkMentionSet(
     core::MentionSet mentions,
     const core::LinkContext& /*context*/) const {
   WallTimer timer;
-  std::shared_ptr<const kb::KbView> view = ResolveView(substrate_);
+  const kb::KbView& view = *substrate_.view;
   core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
   double graph_ms = timer.ElapsedMillis();
 
@@ -48,8 +48,8 @@ Result<core::LinkingResult> QkbflyLike::LinkMentionSet(
     int count = 0;
     for (int other : noun_mentions) {
       if (other == self || current[other] < 0) continue;
-      sum += view->Cosine(cg.concept_node(node).ref,
-                          cg.concept_node(current[other]).ref);
+      sum += view.Cosine(cg.concept_node(node).ref,
+                         cg.concept_node(current[other]).ref);
       ++count;
     }
     return count == 0 ? 0.0 : sum / count;
@@ -84,7 +84,7 @@ Result<core::LinkingResult> QkbflyLike::LinkMentionSet(
     if (!cg.concept_node(current[m]).ref.is_entity()) return false;
     kb::EntityId self = cg.concept_node(current[m]).ref.id;
     bool supported = false;
-    view->VisitFactsOfEntity(
+    view.VisitFactsOfEntity(
         self, [&](int64_t /*fact_id*/, const kb::Triple& t) {
           if (!t.object_is_entity) return true;
           kb::EntityId other =

@@ -13,7 +13,7 @@ namespace baselines {
 class TenetLinker : public Linker {
  public:
   TenetLinker(BaselineSubstrate substrate, core::TenetOptions options = {})
-      : pipeline_(ResolveView(substrate), substrate.gazetteer,
+      : pipeline_(substrate.view, substrate.gazetteer,
                   [&options, &substrate] {
                     options.graph = substrate.graph_options;
                     return options;

@@ -43,12 +43,6 @@ CoherenceGraphBuilder::CoherenceGraphBuilder(
   TENET_CHECK_GT(options_.max_candidates_per_mention, 0);
 }
 
-CoherenceGraphBuilder::CoherenceGraphBuilder(
-    const kb::KnowledgeBase* kb, const embedding::EmbeddingStore* embeddings,
-    CoherenceGraphOptions options)
-    : CoherenceGraphBuilder(std::make_shared<kb::FlatKbView>(kb, embeddings),
-                            options) {}
-
 CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
   return Build(std::move(mentions), options_.similarity_cache);
 }

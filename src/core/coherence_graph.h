@@ -5,11 +5,9 @@
 #include <vector>
 
 #include "core/mention.h"
-#include "embedding/embedding_store.h"
 #include "embedding/similarity_cache.h"
 #include "graph/graph.h"
 #include "kb/kb_view.h"
-#include "kb/knowledge_base.h"
 
 namespace tenet {
 namespace core {
@@ -94,16 +92,10 @@ class CoherenceGraph {
 // serving parallelises across requests, not within one.
 class CoherenceGraphBuilder {
  public:
-  /// Builds against any KB substrate behind the KbView contract — flat or
-  /// sharded; the view is shared-owned so generations can retire while a
+  /// Builds against a KB substrate behind the KbView contract (any shard
+  /// count); the view is shared-owned so generations can retire while a
   /// builder is mid-flight.
   CoherenceGraphBuilder(std::shared_ptr<const kb::KbView> view,
-                        CoherenceGraphOptions options = {});
-
-  /// Convenience over the flat substrate: wraps `kb` + `embeddings` (which
-  /// must outlive the builder and be finalized) in a FlatKbView.
-  CoherenceGraphBuilder(const kb::KnowledgeBase* kb,
-                        const embedding::EmbeddingStore* embeddings,
                         CoherenceGraphOptions options = {});
 
   /// Builds the coherence graph over `mentions` (moved in; retrievable via

@@ -259,13 +259,6 @@ TenetPipeline::TenetPipeline(std::shared_ptr<const kb::KbView> view,
   TENET_CHECK_GE(options_.bound_retry.multiplier, 1.0);
 }
 
-TenetPipeline::TenetPipeline(const kb::KnowledgeBase* kb,
-                             const embedding::EmbeddingStore* embeddings,
-                             const text::Gazetteer* gazetteer,
-                             TenetOptions options)
-    : TenetPipeline(std::make_shared<kb::FlatKbView>(kb, embeddings),
-                    gazetteer, std::move(options)) {}
-
 Deadline TenetPipeline::DefaultDeadline() const {
   return Deadline::AfterMillis(options_.deadline_ms);
 }

@@ -16,8 +16,7 @@
 #include "core/disambiguator.h"
 #include "core/mention.h"
 #include "core/tree_cover.h"
-#include "embedding/embedding_store.h"
-#include "kb/knowledge_base.h"
+#include "kb/kb_view.h"
 #include "text/extraction.h"
 #include "text/gazetteer.h"
 
@@ -163,7 +162,7 @@ struct LinkingResult {
 // TENET: tree-cover based joint entity and relation linking.
 //
 // Example:
-//   TenetPipeline tenet(&world.kb, &embeddings, &world.gazetteer);
+//   TenetPipeline tenet(world.view, &world.gazetteer());
 //   auto result = tenet.LinkDocument("Michael Jordan studies ...");
 //   for (const LinkedConcept& link : result->links) ...
 //
@@ -175,16 +174,10 @@ struct LinkingResult {
 // must simply not be mutated while linking is in flight.
 class TenetPipeline {
  public:
-  /// Links against any KB substrate behind the KbView contract (flat or
-  /// sharded).  The view is shared-owned; `gazetteer` must be non-null and
+  /// Links against a KB substrate behind the KbView contract (any shard
+  /// count).  The view is shared-owned; `gazetteer` must be non-null and
   /// outlive the pipeline.
   TenetPipeline(std::shared_ptr<const kb::KbView> view,
-                const text::Gazetteer* gazetteer, TenetOptions options = {});
-
-  /// Convenience over the flat substrate.  All pointers must be non-null,
-  /// finalized, and outlive the pipeline.
-  TenetPipeline(const kb::KnowledgeBase* kb,
-                const embedding::EmbeddingStore* embeddings,
                 const text::Gazetteer* gazetteer, TenetOptions options = {});
 
   /// Runs the whole stack: extraction -> mention set -> coherence graph ->

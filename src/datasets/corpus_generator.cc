@@ -260,7 +260,7 @@ Document CorpusGenerator::GenerateDocument(const DatasetSpec& spec,
       // Prefer a surface shared by several KB entities.
       std::vector<const std::string*> ambiguous;
       for (const std::string& s : surfaces) {
-        if (kb.CandidateEntities(s, std::nullopt, 2).size() >= 2) {
+        if (kb.alias_index().LookupEntities(s).size() >= 2) {
           ambiguous.push_back(&s);
         }
       }

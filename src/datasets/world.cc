@@ -14,7 +14,10 @@ SyntheticWorld BuildWorld(const WorldOptions& options) {
   embedding::EmbeddingStore embeddings =
       embedding::StructuralEmbeddingTrainer(options.embeddings)
           .Train(kb_world.kb, embedding_rng);
-  return SyntheticWorld{std::move(kb_world), std::move(embeddings)};
+  auto view = std::make_shared<const kb::ShardedKb>(
+      kb::ShardedKb::Partition(kb_world.kb, embeddings, 1));
+  return SyntheticWorld{std::move(kb_world), std::move(embeddings),
+                        std::move(view)};
 }
 
 }  // namespace datasets

@@ -14,22 +14,17 @@
 
 namespace tenet {
 
-namespace embedding {
-class EmbeddingStore;
-}  // namespace embedding
-
 namespace kb {
 
 // Read-path contract over a KB substrate — the one API the pipeline, the
-// baselines, and the serving layer consume.  Serving reads ShardedKb, the
-// one serving substrate (a flat snapshot pair loads as its 1-shard
-// layout); FlatKbView is the zero-copy view the offline experiments and
-// baselines build over an in-process KnowledgeBase + EmbeddingStore.  See
-// DESIGN.md §14.
+// baselines, and the serving layer consume.  Its one implementation is
+// ShardedKb: a flat snapshot pair loads as its 1-shard layout, and the
+// in-process synthetic world serves through the 1-shard partition it
+// builds once (SyntheticWorld::view).  See DESIGN.md §14.
 //
-// Determinism contract: for the same logical KB, every implementation must
-// return candidate lists, fact visitation sequences, neighbor lists, and
-// similarities that are byte-identical to the 1-shard layout's.  Sharded
+// Determinism contract: for the same logical KB, every layout must return
+// candidate lists, fact visitation sequences, neighbor lists, and
+// similarities that are byte-identical to the 1-shard layout's.  Wider
 // layouts achieve this by (a) keeping per-surface postings in the one
 // posting order (CanonicalPostingOrder) so per-shard sublists k-way-merge
 // back into exactly the 1-shard list, and (b) replicating each fact to the
@@ -53,15 +48,21 @@ class KbView {
 
   // ---- candidate generation ----------------------------------------------
 
-  /// Candidate entities whose alias matches `surface`; semantics identical
-  /// to KnowledgeBase::CandidateEntities (type filter, cap, overflow
-  /// counting, renormalization over the returned set).
+  /// Candidate entities whose alias matches `surface` (case-insensitive)
+  /// and whose type matches `type` when given (Sec. 3, Step 1).  At most
+  /// `max_candidates` results, by descending prior; priors are renormalized
+  /// over the returned set so they remain a distribution after type
+  /// filtering and truncation.  When `overflow` is non-null it receives the
+  /// number of matching candidates *beyond* the cap — the hostile-input
+  /// guardrails count these into tenet_input_truncated_total{candidates}
+  /// without changing which candidates are returned or how their priors
+  /// renormalize (the clean path stays bit-identical).
   virtual std::vector<EntityCandidate> CandidateEntities(
       std::string_view surface, std::optional<EntityType> type,
       int max_candidates, int* overflow = nullptr) const = 0;
 
-  /// Candidate predicates; semantics identical to
-  /// KnowledgeBase::CandidatePredicates.
+  /// Candidate predicates for a (lemmatized) relational phrase
+  /// (Sec. 3, Step 2).  `overflow` as in CandidateEntities.
   virtual std::vector<PredicateCandidate> CandidatePredicates(
       std::string_view surface, int max_candidates,
       int* overflow = nullptr) const = 0;
@@ -69,7 +70,7 @@ class KbView {
   // ---- fact access -------------------------------------------------------
 
   /// Visitor over the facts of one concept.  `fact_id` is the global fact
-  /// id (the index into KnowledgeBase::facts() on the flat substrate);
+  /// id (the index into KnowledgeBase::facts() of the partitioned KB);
   /// facts arrive in ascending global id order.  Return false to stop
   /// early.
   using FactVisitor = std::function<bool(int64_t fact_id, const Triple&)>;
@@ -110,91 +111,6 @@ class KbView {
   /// read-path call.
   virtual void VisitAliasPostings(const PostingVisitor& visitor) const = 0;
 };
-
-// KbView over an in-process KnowledgeBase + EmbeddingStore (both finalized,
-// both must outlive the view) — the synthetic world the offline
-// experiments link against, viewed without copying it.  Copyable and
-// cheap — two pointers.  Serving never builds one: a KbGeneration holds a
-// ShardedKb.
-class FlatKbView final : public KbView {
- public:
-  FlatKbView(const KnowledgeBase* kb,
-             const embedding::EmbeddingStore* embeddings);
-
-  int32_t num_entities() const override { return kb_->num_entities(); }
-  int32_t num_predicates() const override { return kb_->num_predicates(); }
-  int64_t num_facts() const override { return kb_->num_facts(); }
-
-  const EntityRecord& entity(EntityId id) const override {
-    return kb_->entity(id);
-  }
-  const PredicateRecord& predicate(PredicateId id) const override {
-    return kb_->predicate(id);
-  }
-
-  std::vector<EntityCandidate> CandidateEntities(
-      std::string_view surface, std::optional<EntityType> type,
-      int max_candidates, int* overflow = nullptr) const override {
-    return kb_->CandidateEntities(surface, type, max_candidates, overflow);
-  }
-  std::vector<PredicateCandidate> CandidatePredicates(
-      std::string_view surface, int max_candidates,
-      int* overflow = nullptr) const override {
-    return kb_->CandidatePredicates(surface, max_candidates, overflow);
-  }
-
-  void VisitFactsOfEntity(EntityId id,
-                          const FactVisitor& visitor) const override;
-  void VisitFactsOfPredicate(PredicateId id,
-                             const FactVisitor& visitor) const override;
-  std::vector<EntityId> NeighborEntities(EntityId id) const override {
-    return kb_->NeighborEntities(id);
-  }
-
-  int dimension() const override;
-  double Cosine(ConceptRef a, ConceptRef b) const override;
-  void GatherUnit(std::span<const ConceptRef> refs,
-                  double* out) const override;
-
-  void VisitAliasPostings(const PostingVisitor& visitor) const override;
-
- private:
-  const KnowledgeBase* kb_;
-  const embedding::EmbeddingStore* embeddings_;
-};
-
-// Shared candidate post-processing — the exact truncate/overflow/renormalize
-// sequence of the historical KnowledgeBase::Candidate* methods, factored out
-// so every substrate runs the same floating-point operations in the same
-// order (byte-identical priors on every layout).  `keep` filters a
-// posting (type matching), `make` converts a surviving posting into the
-// candidate type.
-template <typename Candidate, typename KeepFn, typename MakeFn>
-std::vector<Candidate> SelectCandidates(
-    std::span<const AliasPosting> postings, int max_candidates,
-    int* overflow, KeepFn&& keep, MakeFn&& make) {
-  if (overflow != nullptr) *overflow = 0;
-  std::vector<Candidate> out;
-  if (max_candidates <= 0) return out;
-  for (const AliasPosting& posting : postings) {
-    if (!keep(posting)) continue;
-    if (static_cast<int>(out.size()) == max_candidates) {
-      // Past the cap: only keep counting when the caller asked to observe
-      // truncation; the returned set and its renormalization are unchanged.
-      if (overflow == nullptr) break;
-      ++*overflow;
-      continue;
-    }
-    out.push_back(make(posting));
-  }
-  // Renormalize so the truncated/filtered set is still a distribution.
-  double total = 0.0;
-  for (const Candidate& c : out) total += c.prior;
-  if (total > 0.0) {
-    for (Candidate& c : out) c.prior /= total;
-  }
-  return out;
-}
 
 }  // namespace kb
 }  // namespace tenet

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "kb/kb_view.h"
 
 namespace tenet {
 namespace kb {
@@ -134,32 +133,6 @@ const EntityRecord& KnowledgeBase::entity(EntityId id) const {
 const PredicateRecord& KnowledgeBase::predicate(PredicateId id) const {
   TENET_CHECK(id >= 0 && id < num_predicates()) << "bad predicate id " << id;
   return predicates_[id];
-}
-
-std::vector<EntityCandidate> KnowledgeBase::CandidateEntities(
-    std::string_view surface, std::optional<EntityType> type,
-    int max_candidates, int* overflow) const {
-  TENET_CHECK(finalized_);
-  return SelectCandidates<EntityCandidate>(
-      alias_index_.LookupEntities(surface), max_candidates, overflow,
-      [&](const AliasPosting& posting) {
-        return !type.has_value() ||
-               entities_[posting.concept_ref.id].type == *type;
-      },
-      [](const AliasPosting& posting) {
-        return EntityCandidate{posting.concept_ref.id, posting.prior};
-      });
-}
-
-std::vector<PredicateCandidate> KnowledgeBase::CandidatePredicates(
-    std::string_view surface, int max_candidates, int* overflow) const {
-  TENET_CHECK(finalized_);
-  return SelectCandidates<PredicateCandidate>(
-      alias_index_.LookupPredicates(surface), max_candidates, overflow,
-      [](const AliasPosting&) { return true; },
-      [](const AliasPosting& posting) {
-        return PredicateCandidate{posting.concept_ref.id, posting.prior};
-      });
 }
 
 std::span<const int32_t> KnowledgeBase::FactsOfEntity(EntityId id) const {

@@ -1,7 +1,6 @@
 #ifndef TENET_KB_KNOWLEDGE_BASE_H_
 #define TENET_KB_KNOWLEDGE_BASE_H_
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -56,12 +55,13 @@ struct PredicateCandidate {
 
 // An in-memory triple store with a case-insensitive alias index — the
 // substrate standing in for the paper's Wikidata dump + Solr index.  It is
-// where a KB is assembled (the synthetic world, tests); SaveKnowledgeBase
-// persists it, and serving reads it back as a ShardedKb.
+// where a KB is assembled (the synthetic world, tests); linking never reads
+// it directly.  ShardedKb::Partition turns it into the KbView every linker
+// reads, and SaveKnowledgeBase persists it.
 //
 // Build phase: Add* methods, then Finalize() exactly once.  Query phase:
-// the Candidate*/facts/neighbor accessors.  The class is immutable after
-// Finalize() and safe for concurrent reads.
+// the record/fact/neighbor accessors and alias_index().  The class is
+// immutable after Finalize() and safe for concurrent reads.
 class KnowledgeBase {
  public:
   KnowledgeBase() = default;
@@ -118,25 +118,6 @@ class KnowledgeBase {
     return predicates_;
   }
   const std::vector<Triple>& facts() const { return facts_; }
-
-  /// Candidate entities whose alias matches `surface` (case-insensitive)
-  /// and whose type matches `type` when given (Sec. 3, Step 1).  At most
-  /// `max_candidates` results, by descending prior; priors are renormalized
-  /// over the returned set so they remain a distribution after type
-  /// filtering and truncation.  When `overflow` is non-null it receives the
-  /// number of matching candidates *beyond* the cap — the hostile-input
-  /// guardrails count these into tenet_input_truncated_total{candidates}
-  /// without changing which candidates are returned or how their priors
-  /// renormalize (the clean path stays bit-identical).
-  std::vector<EntityCandidate> CandidateEntities(
-      std::string_view surface, std::optional<EntityType> type,
-      int max_candidates, int* overflow = nullptr) const;
-
-  /// Candidate predicates for a (lemmatized) relational phrase
-  /// (Sec. 3, Step 2).  `overflow` as in CandidateEntities.
-  std::vector<PredicateCandidate> CandidatePredicates(
-      std::string_view surface, int max_candidates,
-      int* overflow = nullptr) const;
 
   /// Indices into facts() where `id` appears as subject or object.  The
   /// span points into a flat CSR arena owned by the KB, valid as long as

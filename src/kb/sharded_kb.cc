@@ -85,7 +85,7 @@ void ShardedKb::BuildShardIndexes(FactArena& arena, size_t num_local_entities,
   // object when distinct from the subject; predicate always), restricted
   // to concepts homed on this shard.  arena.facts is in ascending global
   // fact id order, so every per-concept sequence comes out in exactly the
-  // flat substrate's order.
+  // partitioned KnowledgeBase's order.
   arena.entity_fact_offsets.assign(num_local_entities + 1, 0);
   arena.predicate_fact_offsets.assign(num_local_predicates + 1, 0);
   auto local_entity = [&](EntityId id) -> int32_t {
@@ -250,10 +250,10 @@ std::span<const AliasPosting> ShardedKb::ScatterLookup(
     std::string_view surface, ConceptRef::Kind kind,
     std::vector<AliasPosting>* merged) const {
   if (num_shards() == 1) {
-    // The 1-shard layout of a flat snapshot: its one shard's alias index is
-    // the whole lookup, already a dependency of its own
-    // ("kb/alias_lookup"), so no per-shard probe, timer or merge is
-    // layered on top — it serves exactly like the flat substrate.
+    // The 1-shard layout (a flat snapshot, or an in-process world): its
+    // one shard's alias index is the whole lookup, already a dependency of
+    // its own ("kb/alias_lookup"), so no per-shard probe, timer or merge
+    // is layered on top.
     return kind == ConceptRef::Kind::kEntity
                ? shards_[0].alias_index.LookupEntities(surface)
                : shards_[0].alias_index.LookupPredicates(surface);
@@ -296,6 +296,42 @@ std::span<const AliasPosting> ShardedKb::ScatterLookup(
   std::sort(merged->begin(), merged->end(), CanonicalPostingOrder);
   return *merged;
 }
+
+namespace {
+
+// Candidate post-processing: truncate at the cap (counting the overflow
+// when asked), then renormalize over the returned set.  The merged posting
+// list is the same at every shard count, so this one sequence gives
+// byte-identical priors on every layout.  `keep` filters a posting (type
+// matching), `make` converts a surviving posting into the candidate type.
+template <typename Candidate, typename KeepFn, typename MakeFn>
+std::vector<Candidate> SelectCandidates(
+    std::span<const AliasPosting> postings, int max_candidates,
+    int* overflow, KeepFn&& keep, MakeFn&& make) {
+  if (overflow != nullptr) *overflow = 0;
+  std::vector<Candidate> out;
+  if (max_candidates <= 0) return out;
+  for (const AliasPosting& posting : postings) {
+    if (!keep(posting)) continue;
+    if (static_cast<int>(out.size()) == max_candidates) {
+      // Past the cap: only keep counting when the caller asked to observe
+      // truncation; the returned set and its renormalization are unchanged.
+      if (overflow == nullptr) break;
+      ++*overflow;
+      continue;
+    }
+    out.push_back(make(posting));
+  }
+  // Renormalize so the truncated/filtered set is still a distribution.
+  double total = 0.0;
+  for (const Candidate& c : out) total += c.prior;
+  if (total > 0.0) {
+    for (Candidate& c : out) c.prior /= total;
+  }
+  return out;
+}
+
+}  // namespace
 
 std::vector<EntityCandidate> ShardedKb::CandidateEntities(
     std::string_view surface, std::optional<EntityType> type,
@@ -411,7 +447,7 @@ void ShardedKb::GatherUnit(std::span<const ConceptRef> refs,
 
 void ShardedKb::VisitAliasPostings(const PostingVisitor& visitor) const {
   // Each posting lives on exactly one shard (its concept's home), so this
-  // visits every posting exactly once.  Unlike the flat substrate, the
+  // visits every posting exactly once.  Unlike on a 1-shard layout, the
   // postings of one surface may arrive in several runs (one per shard) —
   // consumers must be order-independent (DeriveGazetteer's tie-break is).
   for (const Shard& shard : shards_) {

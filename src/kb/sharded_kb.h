@@ -27,9 +27,10 @@ namespace kb {
 // alias index, record arrays, CSR fact arenas, and embedding matrix — the
 // local-process stand-in for sphinx-neo's distributed agent/source split,
 // and the unit a multi-process backend would route on.  It is the one
-// serving substrate: a flat TENETKB3 + TENETEMB1 pair loads as its 1-shard
-// layout, and live updates (kb/delta.h) apply shard by shard.  See
-// DESIGN.md §14.
+// KbView implementation: a flat TENETKB3 + TENETEMB1 pair loads as its
+// 1-shard layout, the in-process synthetic world serves through its
+// 1-shard partition, and live updates (kb/delta.h) apply shard by shard.
+// See DESIGN.md §14.
 //
 // Layout (strided by concept id): concept c is homed on shard c % N at
 // local index c / N, for entities and predicates independently.  Alias
@@ -44,7 +45,7 @@ namespace kb {
 // applies all keep it — so the scatter/gather lookup merges them back into
 // exactly the 1-shard layout's list, and a lookup that only one shard
 // answers hands that shard's list through unmerged; candidate
-// post-processing then runs the shared SelectCandidates sequence.  PRF,
+// post-processing then runs one SelectCandidates sequence.  PRF,
 // degradation counts and coherence edge lists are byte-identical at any
 // shard count — kb_shard_test.cc and substrate_golden_test.cc pin this.
 //
@@ -107,13 +108,14 @@ class ShardedKb final : public KbView {
   };
 
   /// Assembles a sharded KB from fully-built shards (used by Partition, the
-  /// snapshot loader and ApplyDeltas), sealing their records.  The global
-  /// counts are the flat substrate's.
+  /// snapshot loader and ApplyDeltas), sealing their records.  The counts
+  /// are global (summed over the shards, facts counted once).
   ShardedKb(std::vector<Shard> shards, int32_t num_entities,
             int32_t num_predicates, int64_t num_facts);
 
-  /// Partitions a finalized flat substrate into `num_shards` hash shards
-  /// (in memory; Save() persists the layout).
+  /// Partitions a finalized KnowledgeBase + EmbeddingStore into
+  /// `num_shards` hash shards (in memory, copying both; Save() persists the
+  /// layout).  One shard is the layout every in-process linker reads.
   static ShardedKb Partition(const KnowledgeBase& kb,
                              const embedding::EmbeddingStore& embeddings,
                              int num_shards);

@@ -29,11 +29,9 @@ kb::DeltaApplyStats Accumulate(kb::DeltaApplyStats base,
 std::unique_ptr<baselines::TenetLinker> MakeLinker(
     std::shared_ptr<const kb::KbView> view, const text::Gazetteer* gazetteer,
     const core::TenetOptions& options) {
-  baselines::BaselineSubstrate substrate;
-  substrate.view = std::move(view);
-  substrate.gazetteer = gazetteer;
-  substrate.graph_options = options.graph;
-  return std::make_unique<baselines::TenetLinker>(substrate, options);
+  return std::make_unique<baselines::TenetLinker>(
+      baselines::BaselineSubstrate{std::move(view), gazetteer, options.graph},
+      options);
 }
 
 // The full derive, for a generation that has no parent to layer over.
@@ -63,14 +61,6 @@ std::shared_ptr<const KbGeneration> KbGeneration::FromShardedKb(
   return std::shared_ptr<const KbGeneration>(
       new KbGeneration(std::move(sharded), std::move(gazetteer), id,
                        kb::DeltaApplyStats{}, options));
-}
-
-std::shared_ptr<const KbGeneration> KbGeneration::FromSubstrate(
-    const kb::KnowledgeBase& kb, const embedding::EmbeddingStore& embeddings,
-    uint64_t id, const core::TenetOptions& options) {
-  return FromShardedKb(std::make_shared<const kb::ShardedKb>(
-                           kb::ShardedKb::Partition(kb, embeddings, 1)),
-                       id, options);
 }
 
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::LoadSharded(

@@ -10,10 +10,8 @@
 #include "baselines/tenet_linker.h"
 #include "common/result.h"
 #include "core/pipeline.h"
-#include "embedding/embedding_store.h"
 #include "kb/delta.h"
 #include "kb/kb_view.h"
-#include "kb/knowledge_base.h"
 #include "kb/sharded_kb.h"
 #include "text/gazetteer.h"
 
@@ -54,12 +52,6 @@ class KbGeneration {
   static Result<std::shared_ptr<const KbGeneration>> LoadSharded(
       const std::string& manifest_path, uint64_t id,
       const core::TenetOptions& options = {});
-
-  /// Serves an already-built flat substrate (both finalized) as its 1-shard
-  /// layout; the arguments are copied, not kept.
-  static std::shared_ptr<const KbGeneration> FromSubstrate(
-      const kb::KnowledgeBase& kb, const embedding::EmbeddingStore& embeddings,
-      uint64_t id, const core::TenetOptions& options = {});
 
   /// Serves an already-built layout.
   static std::shared_ptr<const KbGeneration> FromShardedKb(

@@ -5,15 +5,18 @@
 //
 //   #include "tenet.h"
 //
-//   // 1. Substrates: a knowledge base, concept embeddings, a gazetteer.
+//   // 1. Substrates: a knowledge base, concept embeddings, the 1-shard
+//   //    KbView the linker reads (built once, shared by pointer), a
+//   //    gazetteer.
 //   tenet::kb::KnowledgeBase kb = ...;
 //   tenet::embedding::EmbeddingStore vectors =
 //       tenet::embedding::StructuralEmbeddingTrainer().Train(kb, rng);
-//   tenet::text::Gazetteer gazetteer =
-//       tenet::kb::DeriveGazetteer(tenet::kb::FlatKbView(&kb, &vectors));
+//   auto view = std::make_shared<const tenet::kb::ShardedKb>(
+//       tenet::kb::ShardedKb::Partition(kb, vectors, 1));
+//   tenet::text::Gazetteer gazetteer = tenet::kb::DeriveGazetteer(*view);
 //
 //   // 2. Link documents.
-//   tenet::core::TenetPipeline pipeline(&kb, &vectors, &gazetteer);
+//   tenet::core::TenetPipeline pipeline(view, &gazetteer);
 //   auto result = pipeline.LinkDocument(text);
 //
 //   // Serving loads a snapshot (or sharded layout) as a KbGeneration
@@ -54,6 +57,7 @@
 #include "embedding/trainer.h"
 #include "kb/io.h"
 #include "kb/knowledge_base.h"
+#include "kb/sharded_kb.h"
 #include "kb/synthetic_kb.h"
 #include "kb/types.h"
 #include "obs/metrics.h"

@@ -28,8 +28,8 @@ datasets::Dataset SmallNews(uint64_t seed) {
 }
 
 baselines::TenetLinker MakeTenet(TenetOptions options = {}) {
-  baselines::BaselineSubstrate substrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}};
+  baselines::BaselineSubstrate substrate{World().view, &World().gazetteer(),
+                                         {}};
   return baselines::TenetLinker(substrate, options);
 }
 
@@ -38,7 +38,7 @@ TEST(AblationTest, CanopyDisableRemovesLongVariants) {
       testing_support::BuildFigureOneWorld();
   TenetOptions options;
   options.canopy.enable_long_variants = false;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   Result<LinkingResult> result = tenet.LinkDocument(
       "He was awarded as the Fellow of the AAAS.");
@@ -104,8 +104,8 @@ TEST(AblationTest, TieBreakProtectsLongMentions) {
       testing_support::BuildFigureOneWorld();
   TenetOptions no_tie_break;
   no_tie_break.disambiguator.informative_tie_break = false;
-  TenetPipeline published(&world.kb, &world.embeddings, &world.gazetteer);
-  TenetPipeline ablated(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline published(world.view, &world.gazetteer);
+  TenetPipeline ablated(world.view, &world.gazetteer,
                         no_tie_break);
   const char* text = "He was awarded as the Fellow of the AAAS.";
   Result<LinkingResult> a = published.LinkDocument(text);

@@ -27,8 +27,7 @@ class BaselineTest : public ::testing::Test {
     return *world;
   }
   static BaselineSubstrate Substrate() {
-    return BaselineSubstrate{&World().kb(), &World().embeddings,
-                             &World().gazetteer(), {}, {}};
+    return BaselineSubstrate{World().view, &World().gazetteer(), {}};
   }
   static std::vector<std::unique_ptr<Linker>> AllLinkers() {
     std::vector<std::unique_ptr<Linker>> linkers;
@@ -185,8 +184,7 @@ TEST_F(BaselineTest, DeterministicResults) {
 TEST(BaselineFigureOneTest, CoherenceSeparatesTenetFromFalcon) {
   testing_support::FigureOneWorld world =
       testing_support::BuildFigureOneWorld();
-  BaselineSubstrate substrate{&world.kb, &world.embeddings, &world.gazetteer,
-                              {}, {}};
+  BaselineSubstrate substrate{world.view, &world.gazetteer, {}};
   const char* text =
       "Michael Jordan studies artificial intelligence and machine learning.";
   FalconLike falcon(substrate);

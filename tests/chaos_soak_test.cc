@@ -70,8 +70,7 @@ class ChaosSoakTest : public ::testing::Test {
          generator.Generate(spec, rng).documents) {
       texts_.push_back(doc.text);
     }
-    generation_ = KbGeneration::FromSubstrate(world.kb(), world.embeddings,
-                                              /*id=*/1);
+    generation_ = KbGeneration::FromShardedKb(world.view, /*id=*/1);
 
     ServingOptions options;
     // A per-fixture registry windows the counters to this soak run; the
@@ -446,8 +445,7 @@ class HostileStormTest : public ::testing::Test {
     datasets::SessionSpec session_spec;
     session_spec.num_sessions = kDriverThreads;
     sessions_ = session_generator.Generate(session_spec, rng);
-    generation_ = KbGeneration::FromSubstrate(world.kb(), world.embeddings,
-                                              /*id=*/1);
+    generation_ = KbGeneration::FromShardedKb(world.view, /*id=*/1);
 
     ServingOptions options;
     options.metrics = &registry_;

@@ -134,7 +134,7 @@ TEST(EmbeddingStoreKernelTest, GatherUnitCopiesUnitRowsVerbatim) {
 
 TEST(EmbeddingStoreKernelTest, GatherIsOneDependencyOperation) {
   datasets::Dataset news = SmallNews(46);
-  CoherenceGraphBuilder builder(&World().kb(), &World().embeddings);
+  CoherenceGraphBuilder builder(World().view);
   FaultInjector faults(/*seed=*/5);
   int builds = 0;
   for (const datasets::Document& doc : news.documents) {
@@ -190,12 +190,11 @@ std::vector<graph::Edge> ScalarOracleEdges(const CoherenceGraph& cg,
 TEST(CoherenceKernelGoldenTest, EdgeListsAreBitIdenticalAcrossConfigs) {
   datasets::Dataset news = SmallNews(47);
 
-  CoherenceGraphBuilder gather_serial(&World().kb(), &World().embeddings);
+  CoherenceGraphBuilder gather_serial(World().view);
   embedding::SimilarityCache cache;
   CoherenceGraphOptions cached_options;
   cached_options.similarity_cache = &cache;
-  CoherenceGraphBuilder cached(&World().kb(), &World().embeddings,
-                               cached_options);
+  CoherenceGraphBuilder cached(World().view, cached_options);
 
   int compared_edges = 0;
   for (int pass = 0; pass < 2; ++pass) {  // pass 2 runs with a warm cache
@@ -235,7 +234,7 @@ TEST(CoherenceKernelGoldenTest, EndToEndPrfIsByteIdentical) {
   roomy.max_entries = 1 << 20;
   roomy.metrics = &oracle_metrics;
   embedding::SimilarityCache oracle_cache(roomy);
-  CoherenceGraphBuilder builder(&World().kb(), &World().embeddings);
+  CoherenceGraphBuilder builder(World().view);
   for (const datasets::Document& doc : news.documents) {
     CoherenceGraph cg = builder.Build(MentionsOf(doc.text));
     ForEachCoherentPair(cg, [&](int, int, kb::ConceptRef a,
@@ -251,13 +250,11 @@ TEST(CoherenceKernelGoldenTest, EndToEndPrfIsByteIdentical) {
   cached_options.similarity_cache = &cache;
 
   baselines::TenetLinker oracle(baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(),
-      oracle_options, {}});
-  baselines::TenetLinker vectorized(baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}});
+      World().view, &World().gazetteer(), oracle_options});
+  baselines::TenetLinker vectorized(
+      baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}});
   baselines::TenetLinker cached(baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(),
-      cached_options, {}});
+      World().view, &World().gazetteer(), cached_options});
 
   eval::SystemScores a = eval::EvaluateEndToEnd(oracle, news);
   ASSERT_GT(oracle_cache.GetStats().hits, 0);

@@ -40,7 +40,7 @@ TEST(ConcurrencyTest, ParallelLinkingMatchesSerial) {
   spec.num_docs = 16;
   datasets::Dataset ds = gen.Generate(spec, rng);
 
-  TenetPipeline tenet(&world.kb(), &world.embeddings, &world.gazetteer());
+  TenetPipeline tenet(world.view, &world.gazetteer());
 
   // Serial reference.
   std::vector<Outcome> reference;
@@ -80,22 +80,22 @@ TEST(ConcurrencyTest, ParallelLinkingMatchesSerial) {
 
 TEST(ConcurrencyTest, SharedKbSupportsConcurrentCandidateQueries) {
   datasets::SyntheticWorld world = datasets::BuildWorld();
-  const kb::KnowledgeBase& kb = world.kb();
+  const kb::KbView& view = *world.view;
   std::vector<std::thread> workers;
   std::vector<int> totals(4, 0);
   for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&kb, &totals, t] {
-      for (kb::EntityId id = t; id < kb.num_entities(); id += 4) {
+    workers.emplace_back([&view, &totals, t] {
+      for (kb::EntityId id = t; id < view.num_entities(); id += 4) {
         totals[t] += static_cast<int>(
-            kb.CandidateEntities(kb.entity(id).label, std::nullopt, 4)
+            view.CandidateEntities(view.entity(id).label, std::nullopt, 4)
                 .size());
-        totals[t] += static_cast<int>(kb.NeighborEntities(id).size());
+        totals[t] += static_cast<int>(view.NeighborEntities(id).size());
       }
     });
   }
   for (std::thread& w : workers) w.join();
   int total = totals[0] + totals[1] + totals[2] + totals[3];
-  EXPECT_GT(total, kb.num_entities());  // every label resolves at least once
+  EXPECT_GT(total, view.num_entities());  // every label resolves at least once
 }
 
 }  // namespace

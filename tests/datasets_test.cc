@@ -99,7 +99,7 @@ TEST_F(CorpusTest, GoldEntitiesResolveInKb) {
       // The annotated surface must resolve to the gold entity among its KB
       // candidates (the annotation is consistent with the KB).
       std::vector<kb::EntityCandidate> candidates =
-          World().kb().CandidateEntities(g.surface, std::nullopt, 50);
+          World().view->CandidateEntities(g.surface, std::nullopt, 50);
       bool found = false;
       for (const kb::EntityCandidate& c : candidates) {
         if (c.entity == g.entity) found = true;
@@ -117,7 +117,7 @@ TEST_F(CorpusTest, NonLinkableSurfacesAreAbsentFromKb) {
     for (const GoldEntityLink& g : d.gold_entities) {
       if (g.linkable()) continue;
       EXPECT_TRUE(
-          World().kb().CandidateEntities(g.surface, std::nullopt, 5).empty())
+          World().view->CandidateEntities(g.surface, std::nullopt, 5).empty())
           << "non-linkable surface '" << g.surface << "' found in KB";
     }
   }
@@ -147,7 +147,7 @@ TEST_F(CorpusTest, GoldPredicatesResolveInKb) {
       if (g.linkable()) {
         ++linkable;
         std::vector<kb::PredicateCandidate> candidates =
-            World().kb().CandidatePredicates(g.lemma, 50);
+            World().view->CandidatePredicates(g.lemma, 50);
         bool found = false;
         for (const kb::PredicateCandidate& c : candidates) {
           if (c.predicate == g.predicate) found = true;
@@ -155,7 +155,7 @@ TEST_F(CorpusTest, GoldPredicatesResolveInKb) {
         EXPECT_TRUE(found);
       } else {
         ++nonlinkable;
-        EXPECT_TRUE(World().kb().CandidatePredicates(g.lemma, 5).empty());
+        EXPECT_TRUE(World().view->CandidatePredicates(g.lemma, 5).empty());
       }
     }
   }

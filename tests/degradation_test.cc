@@ -32,7 +32,7 @@ const LinkedConcept* FindLink(const LinkingResult& result,
 
 TEST(DegradationTest, FullRunReportsFullMode) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->degradation.mode, DegradationInfo::Mode::kFull);
@@ -45,7 +45,7 @@ TEST(DegradationTest, ExpiredDeadlineStillReturnsPriorOnlyLinks) {
   // Graceful degradation is an answer, not an error: under an already-
   // expired deadline the document is still served, from priors.
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result =
       tenet.LinkDocument(kFigureOneText,
                          LinkContext::WithDeadline(Deadline::Expired()));
@@ -81,7 +81,7 @@ TEST(DegradationTest, ExpiredDeadlineViaOptionsBehavesTheSame) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.deadline_ms = 0.0;  // every call starts already out of budget
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -93,7 +93,7 @@ TEST(DegradationTest, DegradationDisabledTurnsDeadlineIntoError) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.degrade_to_prior = false;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   Result<LinkingResult> result =
       tenet.LinkDocument(kFigureOneText,
@@ -107,7 +107,7 @@ TEST(DegradationTest, FaultedCoverSolverDegradesToPairLink) {
   // coherence graph is already built, so the sweep runs off its cached
   // similarities instead of dropping all the way to priors.
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   FaultInjector faults(17);
   faults.Arm("core/cover_solve", 1.0);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
@@ -127,7 +127,7 @@ TEST(DegradationTest, FaultedCoverSolverWithPairLinkDisabledGoesPriorOnly) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.pair_link.enabled = false;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   FaultInjector faults(17);
   faults.Arm("core/cover_solve", 1.0);
@@ -143,7 +143,7 @@ TEST(DegradationTest, FaultedCoverSolverWithoutDegradationFailsTheCall) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.degrade_to_prior = false;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   FaultInjector faults(18);
   faults.Arm("core/cover_solve", 1.0);
@@ -157,7 +157,7 @@ TEST(DegradationTest, PriorOnlyKeepsCanopyConsistency) {
   // segmentation per group, so "Fellow of the AAAS" (prior 1.0 as a long
   // variant) wins over its fragments.
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result =
       tenet.LinkDocument(kFigureOneText,
                          LinkContext::WithDeadline(Deadline::Expired()));
@@ -183,7 +183,7 @@ TEST(DegradationTest, DeadlineExceededStatusReportsTheStage) {
   TenetOptions options;
   options.degrade_to_prior = false;
   options.deadline_ms = 0.0;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_FALSE(result.ok());
@@ -215,7 +215,7 @@ TEST(DegradationTest, PriorOnlyAtEntryLooksEachMentionUpOnce) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.limits.max_candidates_per_mention = 1;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
 
   int64_t before = CandidateTruncations();
@@ -238,7 +238,7 @@ TEST(DegradationTest, PriorOnlyAtEntryLooksEachMentionUpOnce) {
 
 TEST(DegradationTest, EmptyDocumentIsFullModeEvenWhenExpired) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result =
       tenet.LinkDocument("", LinkContext::WithDeadline(Deadline::Expired()));
   ASSERT_TRUE(result.ok()) << result.status();

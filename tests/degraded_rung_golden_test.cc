@@ -186,10 +186,9 @@ uint64_t DigestRung(Rung rung, const datasets::Dataset& dataset,
     case kNumRungs:
       break;
   }
-  TenetPipeline tenet(&World().kb(), &World().embeddings,
-                      &World().gazetteer(), options);
-  baselines::PairlinkLike baseline(baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}});
+  TenetPipeline tenet(World().view, &World().gazetteer(), options);
+  baselines::PairlinkLike baseline(
+      baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}});
   FaultInjector faults(/*seed=*/13);
   if (cover_fault) faults.Arm("core/cover_solve", 1.0);
 

@@ -9,6 +9,7 @@
 #include "core/tree_cover.h"
 #include "embedding/embedding_store.h"
 #include "kb/knowledge_base.h"
+#include "kb/sharded_kb.h"
 
 namespace tenet {
 namespace core {
@@ -19,6 +20,7 @@ namespace {
 struct MicroWorld {
   kb::KnowledgeBase kb;
   embedding::EmbeddingStore embeddings{4, 0, 0};
+  std::shared_ptr<const kb::ShardedKb> view;  // set by Finish()
 
   // Entity pinned to an axis with the given component.
   kb::EntityId AddEntity(const std::string& label, int axis,
@@ -36,6 +38,8 @@ struct MicroWorld {
       v[axes[i].first] = axes[i].second;
     }
     embeddings.Finalize();
+    view = std::make_shared<const kb::ShardedKb>(
+        kb::ShardedKb::Partition(kb, embeddings, 1));
   }
 };
 
@@ -69,7 +73,7 @@ TEST(DisambiguatorTest, PriorsDecideWithoutCoherence) {
   world.kb.AddEntityAlias(rare, "Jordan", 3.0);
   world.Finish({{0, 1.0f}, {1, 1.0f}});
 
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   CoherenceGraph cg = builder.Build(SingletonMentions({"Jordan"}));
   TreeCover cover = TreeCoverSolver().Solve(cg, 10.0).value();
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
@@ -90,7 +94,7 @@ TEST(DisambiguatorTest, CoherenceOverridesPrior) {
   world.kb.AddEntityAlias(popular, "Jordan", 7.0);
   world.Finish({{0, 1.0f}, {1, 1.0f}, {0, 1.0f}});
 
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   CoherenceGraph cg = builder.Build(SingletonMentions({"Jordan", "Anchor"}));
   TreeCover cover = TreeCoverSolver().Solve(cg, 10.0).value();
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
@@ -111,7 +115,7 @@ TEST(DisambiguatorTest, OneConceptPerMention) {
   world.kb.AddEntityAlias(b, "Word", 5.0);
   world.Finish({{0, 1.0f}, {0, 1.0f}});
 
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   CoherenceGraph cg = builder.Build(SingletonMentions({"Word"}));
   TreeCover cover = TreeCoverSolver().Solve(cg, 10.0).value();
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
@@ -151,7 +155,7 @@ TEST(DisambiguatorTest, CanopyExclusionSelectsOneReading) {
   group.canopies = {Canopy{{short1, short2}}, Canopy{{longm}}};
   set.groups.push_back(group);
 
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   CoherenceGraph cg = builder.Build(std::move(set));
   TreeCover cover = TreeCoverSolver().Solve(cg, 10.0).value();
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
@@ -178,7 +182,7 @@ TEST(DisambiguatorTest, NoCandidatesMeansNoLinks) {
   MicroWorld world;
   world.AddEntity("Unrelated", 0, 1.0f, 1.0);
   world.Finish({{0, 1.0f}});
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   CoherenceGraph cg = builder.Build(SingletonMentions({"Unknown Phrase"}));
   TreeCover cover = TreeCoverSolver().Solve(cg, 10.0).value();
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
@@ -194,7 +198,7 @@ TEST(DisambiguatorTest, IsolatedMentionLinksItsOwnCandidate) {
   kb::EntityId a = world.AddEntity("Alpha", 0, 1.0f, 1.0);
   kb::EntityId b = world.AddEntity("Beta", 1, 1.0f, 1.0);
   world.Finish({{0, 1.0f}, {1, 1.0f}});
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   CoherenceGraph cg = builder.Build(SingletonMentions({"Alpha", "Beta"}));
   TreeCover cover = TreeCoverSolver().Solve(cg, 10.0).value();
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);

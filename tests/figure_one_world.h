@@ -5,10 +5,12 @@
 #ifndef TENET_TESTS_FIGURE_ONE_WORLD_H_
 #define TENET_TESTS_FIGURE_ONE_WORLD_H_
 
+#include <memory>
 #include <span>
 
 #include "embedding/embedding_store.h"
 #include "kb/knowledge_base.h"
+#include "kb/sharded_kb.h"
 #include "text/gazetteer.h"
 
 namespace tenet {
@@ -17,6 +19,8 @@ namespace testing_support {
 struct FigureOneWorld {
   kb::KnowledgeBase kb;
   embedding::EmbeddingStore embeddings{8, 0, 0};
+  /// The 1-shard layout of kb + embeddings every linker reads.
+  std::shared_ptr<const kb::ShardedKb> view;
   text::Gazetteer gazetteer;
 
   // Entity ids.
@@ -101,6 +105,8 @@ inline FigureOneWorld BuildFigureOneWorld() {
   SetVector(w.embeddings, ConceptRef::Predicate(w.residence),
             {0.05f, 0.05f, 0.9f, 0.1f});
   w.embeddings.Finalize();
+  w.view = std::make_shared<const kb::ShardedKb>(
+      kb::ShardedKb::Partition(w.kb, w.embeddings, 1));
 
   for (kb::EntityId id = 0; id < w.kb.num_entities(); ++id) {
     const kb::EntityRecord& rec = w.kb.entity(id);

@@ -35,8 +35,7 @@ datasets::Dataset TinyDataset(uint64_t seed) {
 }
 
 baselines::BaselineSubstrate Substrate() {
-  return baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}};
+  return baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}};
 }
 
 TEST(HarnessTest, EndToEndProducesConsistentScores) {

@@ -261,7 +261,7 @@ TEST(ApplyDeltasTest, UntouchedSurfacesKeepBitExactPriors) {
     for (const char* surface : {"Paris", "Paris Hilton", "Berlin"}) {
       SCOPED_TRACE(surface);
       std::vector<EntityCandidate> before =
-          base.kb.CandidateEntities(surface, std::nullopt, 4);
+          layout.CandidateEntities(surface, std::nullopt, 4);
       std::vector<EntityCandidate> after =
           applied->kb.CandidateEntities(surface, std::nullopt, 4);
       ASSERT_EQ(before.size(), after.size());
@@ -278,7 +278,7 @@ TEST(ApplyDeltasTest, PriorAdjustmentFlipsANearTie) {
   Base base = MakeBase();
   // Sanity: the city wins "paris" 0.51 to 0.49 in the base.
   std::vector<EntityCandidate> before =
-      base.kb.CandidateEntities("Paris", std::nullopt, 4);
+      Layout(base, 1).CandidateEntities("Paris", std::nullopt, 4);
   ASSERT_EQ(before.size(), 2u);
   ASSERT_EQ(before[0].entity, base.paris_city);
 

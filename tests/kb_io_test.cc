@@ -18,7 +18,6 @@
 #include "core/pipeline.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
-#include "kb/kb_view.h"
 #include "kb/sharded_kb.h"
 #include "kb/synthetic_kb.h"
 
@@ -30,14 +29,20 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// Saves `kb` as a flat snapshot pair: the TENETKB3 snapshot at `path` and
-// a zero TENETEMB1 matrix (dimension 4) at `path` + ".emb".
-Status SaveFlatPair(const KnowledgeBase& kb, const std::string& path) {
+// A finalized zero embedding matrix (dimension 4) sized for `kb`.
+embedding::EmbeddingStore ZeroEmbeddings(const KnowledgeBase& kb) {
   embedding::EmbeddingStore embeddings(4, kb.num_entities(),
                                        kb.num_predicates());
   embeddings.Finalize();
+  return embeddings;
+}
+
+// Saves `kb` as a flat snapshot pair: the TENETKB3 snapshot at `path` and
+// its ZeroEmbeddings at `path` + ".emb".
+Status SaveFlatPair(const KnowledgeBase& kb, const std::string& path) {
   Status saved = SaveKnowledgeBase(kb, path);
-  return saved.ok() ? SaveEmbeddings(embeddings, path + ".emb") : saved;
+  return saved.ok() ? SaveEmbeddings(ZeroEmbeddings(kb), path + ".emb")
+                    : saved;
 }
 
 // The one loader over a pair written by SaveFlatPair: the 1-shard layout.
@@ -79,11 +84,12 @@ TEST(KbIoTest, KnowledgeBaseRoundTrip) {
   }
 
   // Candidate distributions round-trip exactly (priors are re-normalized
-  // idempotently).
+  // idempotently): the in-memory partition against the loaded one.
+  const ShardedKb in_memory = ShardedKb::Partition(a, ZeroEmbeddings(a), 1);
   for (EntityId id = 0; id < a.num_entities(); ++id) {
     const std::string& label = a.entity(id).label;
     std::vector<EntityCandidate> ca =
-        a.CandidateEntities(label, std::nullopt, 10);
+        in_memory.CandidateEntities(label, std::nullopt, 10);
     std::vector<EntityCandidate> cb =
         b.CandidateEntities(label, std::nullopt, 10);
     ASSERT_EQ(ca.size(), cb.size()) << label;
@@ -212,11 +218,8 @@ TEST(KbIoTest, DeriveGazetteerCoversAliasSurfaces) {
   options.num_predicates = 8;
   SyntheticKb world = SyntheticKbGenerator(options).Generate(rng);
 
-  embedding::EmbeddingStore embeddings(4, world.kb.num_entities(),
-                                       world.kb.num_predicates());
-  embeddings.Finalize();
-  text::Gazetteer derived =
-      DeriveGazetteer(FlatKbView(&world.kb, &embeddings));
+  text::Gazetteer derived = DeriveGazetteer(
+      ShardedKb::Partition(world.kb, ZeroEmbeddings(world.kb), 1));
   for (EntityId id = 0; id < world.kb.num_entities(); ++id) {
     for (const std::string& surface : world.entity_surfaces[id]) {
       EXPECT_TRUE(derived.Contains(surface)) << surface;
@@ -241,8 +244,7 @@ TEST(KbIoTest, ReloadedWorldLinksIdentically) {
   auto view = std::make_shared<const ShardedKb>(std::move(*kb2));
   text::Gazetteer gazetteer2 = DeriveGazetteer(*view);
 
-  core::TenetPipeline original(&world.kb(), &world.embeddings,
-                               &world.gazetteer());
+  core::TenetPipeline original(world.view, &world.gazetteer());
   core::TenetPipeline reloaded(view, &gazetteer2);
 
   datasets::CorpusGenerator gen(&world.kb_world);

@@ -1,13 +1,14 @@
-// Golden sharding equivalence (DESIGN.md §14): the same world served flat
-// and as a 1/2/4-shard TENETKBSHARDS1 layout must drive the evaluation to
-// byte-identical scores — PRF, full/degraded/failed accounting — and build
-// byte-identical coherence edge lists.  Scatter/gather candidate
-// generation merges per-shard posting sublists back into the canonical
-// global order, so sharding may never change what the system links; this
-// suite pins that contract.  The fault case pins the failure model: a
-// fired "kb/shard" point degrades the lookup (that shard's candidates are
-// simply missing, counted in tenet_kb_shard_degraded_lookups_total) but
-// the request never fails.
+// Golden sharding equivalence (DESIGN.md §14): the world's in-memory view
+// (the 1-shard partition every offline linker reads) and its 1/2/4-shard
+// TENETKBSHARDS1 layouts, round-tripped through Save/Load, must drive the
+// evaluation to byte-identical scores — PRF, full/degraded/failed
+// accounting — and build byte-identical coherence edge lists.
+// Scatter/gather candidate generation merges per-shard posting sublists
+// back into the canonical global order, so sharding may never change what
+// the system links; this suite pins that contract.  The fault case pins
+// the failure model: a fired "kb/shard" point degrades the lookup (that
+// shard's candidates are simply missing, counted in
+// tenet_kb_shard_degraded_lookups_total) but the request never fails.
 #include <memory>
 #include <string>
 #include <utility>
@@ -66,9 +67,9 @@ TEST(KbShardTest, ScoresByteIdenticalAcrossShardCounts) {
   spec.num_docs = 6;
   datasets::Dataset dataset = gen.Generate(spec, rng);
 
-  baselines::TenetLinker flat(baselines::BaselineSubstrate{
-      &world.kb(), &world.embeddings, &world.gazetteer(), {}, {}});
-  SystemScores golden = EvaluateEndToEnd(flat, dataset);
+  baselines::TenetLinker in_memory(
+      baselines::BaselineSubstrate{world.view, &world.gazetteer(), {}});
+  SystemScores golden = EvaluateEndToEnd(in_memory, dataset);
   ASSERT_EQ(golden.failed_documents, 0);
   ASSERT_GT(golden.entity_linking.tp, 0);
 
@@ -81,10 +82,8 @@ TEST(KbShardTest, ScoresByteIdenticalAcrossShardCounts) {
     // KbGeneration derives it at load time.
     text::Gazetteer gazetteer = kb::DeriveGazetteer(*sharded);
 
-    baselines::BaselineSubstrate substrate;
-    substrate.view = sharded;
-    substrate.gazetteer = &gazetteer;
-    baselines::TenetLinker linker(substrate);
+    baselines::TenetLinker linker(
+        baselines::BaselineSubstrate{sharded, &gazetteer, {}});
     SystemScores scores = EvaluateEndToEnd(linker, dataset);
 
     ExpectSamePRF(golden.entity_linking, scores.entity_linking,
@@ -109,10 +108,10 @@ TEST(KbShardTest, CoherenceEdgeListsByteIdenticalAcrossSubstrates) {
   spec.num_docs = 4;
   datasets::Dataset dataset = gen.Generate(spec, rng);
 
-  core::CoherenceGraphBuilder flat_builder(&world.kb(), &world.embeddings);
+  core::CoherenceGraphBuilder in_memory_builder(world.view);
   text::Extractor extractor(&world.gazetteer());
 
-  for (int num_shards : {2, 4}) {
+  for (int num_shards : {1, 2, 4}) {
     SCOPED_TRACE(num_shards);
     std::shared_ptr<const kb::ShardedKb> sharded =
         RoundTripSharded(world, num_shards);
@@ -123,13 +122,14 @@ TEST(KbShardTest, CoherenceEdgeListsByteIdenticalAcrossSubstrates) {
       SCOPED_TRACE(doc.id);
       text::ExtractionResult extraction =
           extractor.ExtractFromText(doc.text);
-      core::CoherenceGraph a = flat_builder.Build(
+      core::CoherenceGraph a = in_memory_builder.Build(
           core::BuildMentionSet(extraction, &world.gazetteer()));
       core::CoherenceGraph b = sharded_builder.Build(
           core::BuildMentionSet(extraction, &world.gazetteer()));
 
-      // Exact equality, doubles included: the scatter/gather merge and the
-      // gather kernel must reproduce the flat substrate bit for bit.
+      // Exact equality, doubles included: the snapshot round trip, the
+      // scatter/gather merge and the gather kernel must reproduce the
+      // in-memory view bit for bit.
       ASSERT_EQ(a.num_concept_nodes(), b.num_concept_nodes());
       for (int n = a.num_mentions(); n < a.num_nodes(); ++n) {
         const core::CoherenceGraph::ConceptNode& ca = a.concept_node(n);
@@ -182,10 +182,8 @@ TEST(KbShardTest, FiredShardDegradesLookupWithoutFailing) {
 
     // Per-request degradation end to end: a whole document links without
     // failure while every per-shard lookup is dropped.
-    baselines::BaselineSubstrate substrate;
-    substrate.view = sharded;
-    substrate.gazetteer = &gazetteer;
-    baselines::TenetLinker linker(substrate);
+    baselines::TenetLinker linker(
+        baselines::BaselineSubstrate{sharded, &gazetteer, {}});
     Result<core::LinkingResult> result = linker.LinkDocument(
         "Michael Jordan studies artificial intelligence.");
     ASSERT_TRUE(result.ok()) << result.status();

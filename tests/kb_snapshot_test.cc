@@ -45,9 +45,7 @@ TEST(KbSnapshotTest, EveryLoadPathScoresIdenticallyToMemory) {
   spec.num_docs = 6;
   datasets::Dataset dataset = gen.Generate(spec, rng);
 
-  SystemScores golden = Score({&world.kb(), &world.embeddings,
-                               &world.gazetteer(), {}, {}},
-                              dataset);
+  SystemScores golden = Score({world.view, &world.gazetteer(), {}}, dataset);
   ASSERT_EQ(golden.failed_documents, 0);
   ASSERT_GT(golden.entity_linking.tp, 0);
 
@@ -73,8 +71,7 @@ TEST(KbSnapshotTest, EveryLoadPathScoresIdenticallyToMemory) {
     auto view = std::make_shared<const kb::ShardedKb>(std::move(*kb2));
     text::Gazetteer gazetteer2 = kb::DeriveGazetteer(*view);
 
-    SystemScores scores =
-        Score({nullptr, nullptr, &gazetteer2, {}, view}, dataset);
+    SystemScores scores = Score({view, &gazetteer2, {}}, dataset);
     ExpectSamePRF(golden.entity_linking, scores.entity_linking,
                   "entity_linking");
     ExpectSamePRF(golden.relation_linking, scores.relation_linking,

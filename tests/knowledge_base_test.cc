@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "embedding/embedding_store.h"
+#include "kb/sharded_kb.h"
+
 namespace tenet {
 namespace kb {
 namespace {
@@ -41,6 +44,16 @@ KnowledgeBase BuildFigureOneKb() {
   return kb;
 }
 
+// The 1-shard layout candidate generation runs on (the KnowledgeBase
+// builds the world; linkers read it through this partition).  Zero
+// embeddings: only candidates are queried here.
+ShardedKb Partitioned(const KnowledgeBase& kb) {
+  embedding::EmbeddingStore embeddings(4, kb.num_entities(),
+                                       kb.num_predicates());
+  embeddings.Finalize();
+  return ShardedKb::Partition(kb, embeddings, 1);
+}
+
 TEST(KnowledgeBaseTest, CountsAndRecords) {
   KnowledgeBase kb = BuildFigureOneKb();
   EXPECT_EQ(kb.num_entities(), 6);
@@ -52,7 +65,7 @@ TEST(KnowledgeBaseTest, CountsAndRecords) {
 }
 
 TEST(KnowledgeBaseTest, CandidateEntitiesOrderedByPrior) {
-  KnowledgeBase kb = BuildFigureOneKb();
+  const ShardedKb kb = Partitioned(BuildFigureOneKb());
   std::vector<EntityCandidate> candidates =
       kb.CandidateEntities("Michael Jordan", std::nullopt, 10);
   ASSERT_EQ(candidates.size(), 2u);
@@ -62,7 +75,7 @@ TEST(KnowledgeBaseTest, CandidateEntitiesOrderedByPrior) {
 }
 
 TEST(KnowledgeBaseTest, CandidateEntitiesRespectTypeFilter) {
-  KnowledgeBase kb = BuildFigureOneKb();
+  const ShardedKb kb = Partitioned(BuildFigureOneKb());
   std::vector<EntityCandidate> persons =
       kb.CandidateEntities("Michael Jordan", EntityType::kPerson, 10);
   EXPECT_EQ(persons.size(), 2u);
@@ -76,7 +89,7 @@ TEST(KnowledgeBaseTest, CandidateEntitiesRespectTypeFilter) {
 }
 
 TEST(KnowledgeBaseTest, TruncationRenormalizes) {
-  KnowledgeBase kb = BuildFigureOneKb();
+  const ShardedKb kb = Partitioned(BuildFigureOneKb());
   std::vector<EntityCandidate> top1 =
       kb.CandidateEntities("Michael Jordan", std::nullopt, 1);
   ASSERT_EQ(top1.size(), 1u);
@@ -84,7 +97,7 @@ TEST(KnowledgeBaseTest, TruncationRenormalizes) {
 }
 
 TEST(KnowledgeBaseTest, CandidatePredicates) {
-  KnowledgeBase kb = BuildFigureOneKb();
+  const ShardedKb kb = Partitioned(BuildFigureOneKb());
   std::vector<PredicateCandidate> candidates =
       kb.CandidatePredicates("studies", 10);
   ASSERT_EQ(candidates.size(), 2u);
@@ -121,7 +134,7 @@ TEST(KnowledgeBaseTest, AddFactValidatesIds) {
 }
 
 TEST(KnowledgeBaseTest, MaxCandidatesZeroYieldsEmpty) {
-  KnowledgeBase kb = BuildFigureOneKb();
+  const ShardedKb kb = Partitioned(BuildFigureOneKb());
   EXPECT_TRUE(kb.CandidateEntities("Michael Jordan", std::nullopt, 0).empty());
 }
 

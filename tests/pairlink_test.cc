@@ -44,15 +44,14 @@ datasets::Dataset TinyDataset(uint64_t seed, int num_docs = 5) {
 }
 
 baselines::BaselineSubstrate Substrate() {
-  return baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}};
+  return baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}};
 }
 
 TEST(PairLinkTest, ServeAlwaysForcesThePairLinkRung) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.pair_link.serve_always = true;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -68,7 +67,7 @@ TEST(PairLinkTest, CapToPairLinkContextRoutesToThePairLinkRung) {
   // The serving layer sets cap_to_pair_link when only the cover-solve
   // breaker is open; the pipeline must honor it without a fault.
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   LinkContext context;
   context.cap_to_pair_link = true;
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText, context);
@@ -85,7 +84,7 @@ TEST(PairLinkTest, ShrinkingDeadlineWalksTheWholeLadder) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.pair_link.min_full_budget_ms = 50.0;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
 
   Result<LinkingResult> full = tenet.LinkDocument(
@@ -111,7 +110,7 @@ TEST(PairLinkTest, SeededCoverFaultLandsOnThePairLinkRung) {
   // Mid-pipeline entry: the graph is already built when the cover solver
   // faults, so the sweep reuses its edge weights (stages_degraded == 2).
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   FaultInjector faults(41);
   faults.Arm("core/cover_solve", 1.0);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);

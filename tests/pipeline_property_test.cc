@@ -28,8 +28,8 @@ TEST_P(PipelinePropertyTest, StructuralInvariantsOnRandomDocuments) {
   datasets::Document doc =
       gen.GenerateDocument(spec, "prop", GetParam() % 2 == 0, rng);
 
-  baselines::BaselineSubstrate substrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}};
+  baselines::BaselineSubstrate substrate{World().view, &World().gazetteer(),
+                                         {}};
   baselines::TenetLinker tenet(substrate);
   Result<LinkingResult> result = tenet.LinkDocument(doc.text);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -63,14 +63,13 @@ TEST_P(PipelinePropertyTest, StructuralInvariantsOnRandomDocuments) {
   for (int m : isolated) {
     const Mention& mention = mentions.mention(m);
     if (mention.is_noun()) {
-      EXPECT_TRUE(World()
-                      .kb()
-                      .CandidateEntities(mention.surface, mention.type, 4)
-                      .empty())
+      EXPECT_TRUE(
+          World().view->CandidateEntities(mention.surface, mention.type, 4)
+              .empty())
           << mention.surface;
     } else {
       EXPECT_TRUE(
-          World().kb().CandidatePredicates(mention.surface, 4).empty())
+          World().view->CandidatePredicates(mention.surface, 4).empty())
           << mention.surface;
     }
   }
@@ -100,7 +99,7 @@ TEST_P(PipelinePropertyTest, StructuralInvariantsOnRandomDocuments) {
   text::Extractor extractor(&World().gazetteer());
   MentionSet fresh = BuildMentionSet(extractor.ExtractFromText(doc.text),
                                      &World().gazetteer());
-  CoherenceGraphBuilder builder(&World().kb(), &World().embeddings);
+  CoherenceGraphBuilder builder(World().view);
   CoherenceGraph cg = builder.Build(std::move(fresh));
   Result<TreeCover> cover =
       TreeCoverSolver().Solve(cg, result->used_bound);

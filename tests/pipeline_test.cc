@@ -28,7 +28,7 @@ const LinkedConcept* FindLink(const LinkingResult& result,
 
 TEST(PipelineTest, FigureOneHeadlineBehavior) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok()) << result.status();
 
@@ -81,7 +81,7 @@ TEST(PipelineTest, FigureOneHeadlineBehavior) {
 
 TEST(PipelineTest, TypeConstraintHolds) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok());
   for (const LinkedConcept& link : result->links) {
@@ -95,7 +95,7 @@ TEST(PipelineTest, TypeConstraintHolds) {
 
 TEST(PipelineTest, OneConceptPerMentionAndOneCanopyPerGroup) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok());
 
@@ -128,7 +128,7 @@ TEST(PipelineTest, OneConceptPerMentionAndOneCanopyPerGroup) {
 
 TEST(PipelineTest, DeterministicAcrossRuns) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> a = tenet.LinkDocument(kFigureOneText);
   Result<LinkingResult> b = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(a.ok());
@@ -143,7 +143,7 @@ TEST(PipelineTest, DeterministicAcrossRuns) {
 
 TEST(PipelineTest, EmptyDocument) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument("");
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->links.empty());
@@ -153,7 +153,7 @@ TEST(PipelineTest, EmptyDocument) {
 
 TEST(PipelineTest, DocumentWithOnlyUnknownPhrases) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result =
       tenet.LinkDocument("Zanthor Quibble admired Vexalia Prune.");
   ASSERT_TRUE(result.ok()) << result.status();
@@ -165,7 +165,7 @@ TEST(PipelineTest, DocumentWithOnlyUnknownPhrases) {
 
 TEST(PipelineTest, MentionDetectionOutputsSelectedUnion) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok());
   std::set<int> expected;
@@ -182,7 +182,7 @@ TEST(PipelineTest, CandidateCountOptionRespected) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
   options.graph.max_candidates_per_mention = 1;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok());
@@ -195,7 +195,7 @@ TEST(PipelineTest, CandidateCountOptionRespected) {
 
 TEST(PipelineTest, TimingsArePopulated) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->timings.extract_ms, 0.0);

@@ -15,7 +15,7 @@ using testing_support::FigureOneWorld;
 
 TEST(PopulationTest, HarvestsFigureOneFacts) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(
       "Michael Jordan studies artificial intelligence and machine learning. "
       "He visited Brooklyn in April 2019.");
@@ -45,7 +45,7 @@ TEST(PopulationTest, HarvestsFigureOneFacts) {
 
 TEST(PopulationTest, AccumulateCountsSupport) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   const char* text =
       "Michael Jordan studies artificial intelligence. "
       "He visited Brooklyn in April 2019.";
@@ -68,7 +68,7 @@ TEST(PopulationTest, AccumulateCountsSupport) {
 
 TEST(PopulationTest, ApplyToKbAddsNewKnowledge) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result = tenet.LinkDocument(
       "Michael Jordan visited Brooklyn. Zorvex Guild admired Brooklyn.");
   ASSERT_TRUE(result.ok());
@@ -98,13 +98,13 @@ TEST(PopulationTest, ApplyToKbAddsNewKnowledge) {
   EXPECT_GT(target.num_entities(), world.kb.num_entities());
   target.Finalize();
   // The emerging surface is now a KB candidate.
-  EXPECT_FALSE(
-      target.CandidateEntities("Zorvex Guild", std::nullopt, 4).empty());
+  EXPECT_TRUE(target.alias_index().ContainsSurface(
+      "Zorvex Guild", kb::ConceptRef::Kind::kEntity));
 }
 
 TEST(PopulationTest, MinSupportFilters) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
   Result<LinkingResult> result =
       tenet.LinkDocument("Michael Jordan visited Brooklyn.");
   ASSERT_TRUE(result.ok());
@@ -136,7 +136,7 @@ TEST(PopulationTest, CorpusScalePopulation) {
   spec.num_docs = 6;
   datasets::Dataset corpus = gen.Generate(spec, rng);
 
-  TenetPipeline tenet(&world.kb(), &world.embeddings, &world.gazetteer());
+  TenetPipeline tenet(world.view, &world.gazetteer());
   KbPopulator populator(&world.kb());
   PopulationReport report;
   for (const datasets::Document& doc : corpus.documents) {

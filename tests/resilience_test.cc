@@ -30,8 +30,7 @@ datasets::Dataset TinyDataset(uint64_t seed, int num_docs = 5) {
 }
 
 baselines::BaselineSubstrate Substrate() {
-  return baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}};
+  return baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}};
 }
 
 TEST(ResilienceTest, AliasFaultsAndTightDeadlineAbortNothing) {

@@ -42,7 +42,7 @@ datasets::Dataset TinyDataset(uint64_t seed, int num_docs = 8) {
 std::shared_ptr<const KbGeneration> Generation(
     const core::TenetOptions& options = {}) {
   datasets::SyntheticWorld world = datasets::BuildWorld();
-  return KbGeneration::FromSubstrate(world.kb(), world.embeddings, /*id=*/1,
+  return KbGeneration::FromShardedKb(world.view, /*id=*/1,
                                      options);
 }
 

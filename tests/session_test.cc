@@ -102,8 +102,7 @@ TEST(SessionContextTest, FirstTurnIsUntouched) {
       testing_support::BuildFigureOneWorld();
   SessionContext context;
   core::LinkingResult result;
-  const kb::FlatKbView view(&world.kb, &world.embeddings);
-  SessionTurnStats stats = context.ApplySessionCoherence(view, &result);
+  SessionTurnStats stats = context.ApplySessionCoherence(*world.view, &result);
   EXPECT_EQ(stats.relinked_to_memory, 0);
   EXPECT_EQ(stats.isolated_resolved, 0);
 }
@@ -140,8 +139,7 @@ TEST(SessionContextTest, RemembersEntitiesAndRelinksAmbiguousAlias) {
   link2.prior = 0.7;
   turn2.links.push_back(link2);
 
-  const kb::FlatKbView view(&world.kb, &world.embeddings);
-  SessionTurnStats stats = context.ApplySessionCoherence(view, &turn2);
+  SessionTurnStats stats = context.ApplySessionCoherence(*world.view, &turn2);
   EXPECT_EQ(stats.relinked_to_memory, 1);
   ASSERT_EQ(turn2.links.size(), 1u);
   EXPECT_EQ(turn2.links[0].concept_ref.id, world.professor);
@@ -175,8 +173,7 @@ TEST(SessionContextTest, ResolvesIsolatedShortFormFromMemory) {
   turn2.mentions.mentions.push_back(m2);
   turn2.isolated_mentions.push_back(0);
 
-  const kb::FlatKbView view(&world.kb, &world.embeddings);
-  SessionTurnStats stats = context.ApplySessionCoherence(view, &turn2);
+  SessionTurnStats stats = context.ApplySessionCoherence(*world.view, &turn2);
   EXPECT_EQ(stats.isolated_resolved, 1);
   EXPECT_TRUE(turn2.isolated_mentions.empty());
   ASSERT_EQ(turn2.links.size(), 1u);
@@ -212,8 +209,7 @@ TEST(SessionContextTest, AmbiguousMemoryIsPoisonedNotGuessed) {
   m.kind = core::Mention::Kind::kNoun;
   probe.mentions.mentions.push_back(m);
   probe.isolated_mentions.push_back(0);
-  const kb::FlatKbView view(&world.kb, &world.embeddings);
-  SessionTurnStats stats = context.ApplySessionCoherence(view, &probe);
+  SessionTurnStats stats = context.ApplySessionCoherence(*world.view, &probe);
   EXPECT_EQ(stats.isolated_resolved, 0);
   EXPECT_EQ(probe.isolated_mentions.size(), 1u);  // stays isolated
 }
@@ -244,8 +240,7 @@ TEST(SessionContextTest, MemoryOffIsANoOp) {
   m2.kind = core::Mention::Kind::kNoun;
   turn2.mentions.mentions.push_back(m2);
   turn2.isolated_mentions.push_back(0);
-  const kb::FlatKbView view(&world.kb, &world.embeddings);
-  SessionTurnStats stats = context.ApplySessionCoherence(view, &turn2);
+  SessionTurnStats stats = context.ApplySessionCoherence(*world.view, &turn2);
   EXPECT_EQ(stats.isolated_resolved, 0);
   EXPECT_EQ(turn2.isolated_mentions.size(), 1u);
 }
@@ -267,8 +262,7 @@ TEST(SessionContextTest, MakeLinkContextCarriesCacheAndEpoch) {
 
 TEST(SessionReplayTest, SessionStateImprovesOverIsolation) {
   baselines::TenetLinker tenet(
-      baselines::BaselineSubstrate{&World().kb(), &World().embeddings,
-                                   &World().gazetteer(), {}, {}});
+      baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}});
   datasets::SessionDataset sessions = GenerateSessions();
 
   eval::SessionEvalOptions with_context;
@@ -292,8 +286,7 @@ TEST(SessionReplayTest, SessionStateImprovesOverIsolation) {
 
 TEST(SessionReplayTest, ReplayIsDeterministic) {
   baselines::TenetLinker tenet(
-      baselines::BaselineSubstrate{&World().kb(), &World().embeddings,
-                                   &World().gazetteer(), {}, {}});
+      baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}});
   datasets::SessionDataset sessions = GenerateSessions();
   eval::SystemScores a =
       eval::EvaluateSessions(tenet, tenet.pipeline().view(), sessions);

@@ -30,8 +30,7 @@ class ShapeRegressionTest : public ::testing::Test {
   }
 
   static baselines::BaselineSubstrate Substrate() {
-    return baselines::BaselineSubstrate{
-        &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}};
+    return baselines::BaselineSubstrate{World().view, &World().gazetteer(), {}};
   }
 
   // The evaluation corpora at full size, cached.

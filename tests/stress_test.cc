@@ -24,8 +24,7 @@ TEST(StressTest, VeryLongDocumentLinksWithinBudget) {
   datasets::Document doc = gen.GenerateDocument(spec, "stress", false, rng);
   ASSERT_GT(doc.num_words, 1500);
 
-  core::TenetPipeline tenet(&world.kb(), &world.embeddings,
-                            &world.gazetteer());
+  core::TenetPipeline tenet(world.view, &world.gazetteer());
   WallTimer timer;
   Result<core::LinkingResult> result = tenet.LinkDocument(doc.text);
   double ms = timer.ElapsedMillis();
@@ -61,8 +60,7 @@ TEST(StressTest, LargeKnowledgeBase) {
   datasets::DatasetSpec spec = datasets::NewsSpec();
   spec.num_docs = 4;
   datasets::Dataset ds = gen.Generate(spec, rng);
-  core::TenetPipeline tenet(&world.kb(), &world.embeddings,
-                            &world.gazetteer());
+  core::TenetPipeline tenet(world.view, &world.gazetteer());
   for (const datasets::Document& doc : ds.documents) {
     Result<core::LinkingResult> result = tenet.LinkDocument(doc.text);
     ASSERT_TRUE(result.ok()) << result.status();

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "embedding/embedding_store.h"
+#include "kb/sharded_kb.h"
 
 namespace tenet {
 namespace kb {
@@ -13,6 +15,15 @@ namespace {
 SyntheticKb Generate(uint64_t seed, SyntheticKbOptions options = {}) {
   Rng rng(seed);
   return SyntheticKbGenerator(options).Generate(rng);
+}
+
+// The 1-shard layout linkers read `world.kb` through (zero embeddings:
+// these tests only query candidates).
+ShardedKb View(const SyntheticKb& world) {
+  embedding::EmbeddingStore embeddings(4, world.kb.num_entities(),
+                                       world.kb.num_predicates());
+  embeddings.Finalize();
+  return ShardedKb::Partition(world.kb, embeddings, 1);
 }
 
 TEST(SyntheticKbTest, SizesMatchOptions) {
@@ -56,11 +67,12 @@ TEST(SyntheticKbTest, LabelsAreUnique) {
 
 TEST(SyntheticKbTest, AmbiguousAliasesExist) {
   SyntheticKb world = Generate(13);
+  const ShardedKb view = View(world);
   // At least one surface must have >= 2 candidate entities (the Michael
   // Jordan scenario) given the default 35% ambiguous-alias fraction.
   int ambiguous_surfaces = 0;
   for (EntityId id = 0; id < world.kb.num_entities(); ++id) {
-    std::vector<EntityCandidate> candidates = world.kb.CandidateEntities(
+    std::vector<EntityCandidate> candidates = view.CandidateEntities(
         world.kb.entity(id).label, std::nullopt, 10);
     if (candidates.size() >= 2) ++ambiguous_surfaces;
   }
@@ -69,10 +81,11 @@ TEST(SyntheticKbTest, AmbiguousAliasesExist) {
 
 TEST(SyntheticKbTest, EverySurfaceResolvesToItsEntity) {
   SyntheticKb world = Generate(17);
+  const ShardedKb view = View(world);
   for (EntityId id = 0; id < world.kb.num_entities(); ++id) {
     for (const std::string& surface : world.entity_surfaces[id]) {
       std::vector<EntityCandidate> candidates =
-          world.kb.CandidateEntities(surface, std::nullopt, 50);
+          view.CandidateEntities(surface, std::nullopt, 50);
       bool found = false;
       for (const EntityCandidate& c : candidates) {
         if (c.entity == id) found = true;
@@ -85,10 +98,11 @@ TEST(SyntheticKbTest, EverySurfaceResolvesToItsEntity) {
 
 TEST(SyntheticKbTest, PredicateSurfacesResolve) {
   SyntheticKb world = Generate(19);
+  const ShardedKb view = View(world);
   for (PredicateId pid = 0; pid < world.kb.num_predicates(); ++pid) {
     for (const std::string& surface : world.predicate_surfaces[pid]) {
       std::vector<PredicateCandidate> candidates =
-          world.kb.CandidatePredicates(surface, 50);
+          view.CandidatePredicates(surface, 50);
       bool found = false;
       for (const PredicateCandidate& c : candidates) {
         if (c.predicate == pid) found = true;

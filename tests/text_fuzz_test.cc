@@ -157,8 +157,7 @@ TEST(TextFuzzTest, ByteLevelFullPipeline) {
   options.limits.max_token_bytes = 64;
   options.limits.max_tokens = 512;
   options.limits.max_mentions = 32;
-  core::TenetPipeline pipeline(&world.kb, &world.embeddings,
-                               &world.gazetteer, options);
+  core::TenetPipeline pipeline(world.view, &world.gazetteer, options);
   const int iters = FuzzIters(150);
   Rng rng(0xF0222);
   for (int i = 0; i < iters; ++i) {
@@ -182,8 +181,7 @@ TEST(TextFuzzTest, StructureAwareAdversarialPipeline) {
   testing_support::FigureOneWorld world =
       testing_support::BuildFigureOneWorld();
   core::TenetOptions options;
-  core::TenetPipeline pipeline(&world.kb, &world.embeddings,
-                               &world.gazetteer, options);
+  core::TenetPipeline pipeline(world.view, &world.gazetteer, options);
 
   datasets::AdversarialSpec spec;
   spec.seed = 0xADF0;

@@ -294,8 +294,7 @@ TEST_F(GuardedExtractionTest, CandidateOverflowDegradesNotDrops) {
   core::TenetOptions options;
   options.graph.max_candidates_per_mention = 4;
   options.limits.max_candidates_per_mention = 1;
-  core::TenetPipeline pipeline(&world_.kb, &world_.embeddings,
-                               &world_.gazetteer, options);
+  core::TenetPipeline pipeline(world_.view, &world_.gazetteer, options);
   const int64_t before = TruncatedCount("candidates");
   Result<core::LinkingResult> result =
       pipeline.LinkDocument("Michael Jordan visited Brooklyn.");
@@ -321,8 +320,7 @@ TEST_F(GuardedExtractionTest, DefaultLimitsNeverClampTheCleanGraphCap) {
 TEST(DegenerateDocumentsTest, AllSystemsHandleEmptyAndWhitespace) {
   static testing_support::FigureOneWorld world =
       testing_support::BuildFigureOneWorld();
-  baselines::BaselineSubstrate substrate{&world.kb, &world.embeddings,
-                                         &world.gazetteer, {}};
+  baselines::BaselineSubstrate substrate{world.view, &world.gazetteer, {}};
   std::vector<std::unique_ptr<baselines::Linker>> linkers;
   linkers.push_back(std::make_unique<baselines::FalconLike>(substrate));
   linkers.push_back(std::make_unique<baselines::QkbflyLike>(substrate));

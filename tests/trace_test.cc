@@ -33,7 +33,7 @@ std::string Annotation(const obs::Trace& trace, const std::string& key) {
 
 TEST(TraceTest, FullRunRecordsExactlyFourStageSpans) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
 
   obs::Trace trace;
   Result<LinkingResult> result =
@@ -73,7 +73,7 @@ TEST(TraceTest, BoundDoublingRecordsRetrySpansUnderTheCoverStage) {
   options.bound_factor = 1e-9;
   options.bound_retry.max_retries = 3;
   options.bound_retry.multiplier = 2.0;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+  TenetPipeline tenet(world.view, &world.gazetteer,
                       options);
 
   obs::Trace trace;
@@ -100,7 +100,7 @@ TEST(TraceTest, BoundDoublingRecordsRetrySpansUnderTheCoverStage) {
 
 TEST(TraceTest, ExpiredDeadlineTracesThePriorOnlyRung) {
   FigureOneWorld world = BuildFigureOneWorld();
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer);
+  TenetPipeline tenet(world.view, &world.gazetteer);
 
   obs::Trace trace;
   LinkContext context = LinkContext::WithDeadline(Deadline::Expired());

@@ -117,7 +117,7 @@ constexpr CorpusGolden kGolden[] = {
 };
 
 TEST(TreeCoverGoldenTest, CoversAreBitIdenticalOnThePaperCorpora) {
-  CoherenceGraphBuilder builder(&World().kb(), &World().embeddings);
+  CoherenceGraphBuilder builder(World().view);
   TreeCoverSolver solver;
   int with_pruned = 0;
   int with_subtrees = 0;
@@ -158,8 +158,7 @@ TEST(TreeCoverGoldenTest, CoversAreBitIdenticalOnThePaperCorpora) {
 }
 
 TEST(TreeCoverGoldenTest, PairLinkOverTheGraphIsBitIdentical) {
-  TenetPipeline tenet(&World().kb(), &World().embeddings,
-                      &World().gazetteer());
+  TenetPipeline tenet(World().view, &World().gazetteer());
   FaultInjector faults(/*seed=*/13);
   faults.Arm("core/cover_solve", 1.0);
   for (size_t c = 0; c < Corpora().size(); ++c) {

@@ -11,6 +11,7 @@
 #include "embedding/embedding_store.h"
 #include "figure_one_world.h"
 #include "kb/knowledge_base.h"
+#include "kb/sharded_kb.h"
 #include "text/extraction.h"
 
 namespace tenet {
@@ -28,7 +29,7 @@ CoherenceGraph BuildFigureOneGraph(
   MentionSet mentions =
       BuildMentionSet(extractor.ExtractFromText(kFigureOneText),
                       &world.gazetteer);
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   return builder.Build(std::move(mentions));
 }
 
@@ -182,7 +183,7 @@ TEST(TreeCoverTest, IsolatedMentionsBecomeSingletons) {
   MentionSet mentions = BuildMentionSet(
       extractor.ExtractFromText("He visited Brooklyn in April 2019."),
       &world.gazetteer);
-  CoherenceGraphBuilder builder(&world.kb, &world.embeddings);
+  CoherenceGraphBuilder builder(world.view);
   CoherenceGraph cg = builder.Build(std::move(mentions));
 
   int april = -1;
@@ -245,7 +246,8 @@ TEST(TreeCoverTest, LightMentionGrowsByAMatchedSubtree) {
     group.canopies = {Canopy{{id}}};
     set.groups.push_back(std::move(group));
   }
-  CoherenceGraphBuilder builder(&kb, &embeddings);
+  CoherenceGraphBuilder builder(std::make_shared<const kb::ShardedKb>(
+      kb::ShardedKb::Partition(kb, embeddings, 1)));
   CoherenceGraph cg = builder.Build(std::move(set));
   ASSERT_EQ(cg.num_concept_nodes(), 5);
   auto node_of = [&cg](kb::EntityId id) {

@@ -11,6 +11,7 @@
 #include "core/tree_cover.h"
 #include "embedding/embedding_store.h"
 #include "kb/knowledge_base.h"
+#include "kb/sharded_kb.h"
 
 namespace tenet {
 namespace core {
@@ -56,7 +57,8 @@ struct Walkthrough {
       group.canopies = {Canopy{{id}}};
       set.groups.push_back(std::move(group));
     }
-    CoherenceGraphBuilder builder(&kb, &embeddings);
+    CoherenceGraphBuilder builder(std::make_shared<const kb::ShardedKb>(
+        kb::ShardedKb::Partition(kb, embeddings, 1)));
     return builder.Build(std::move(set));
   }
 };

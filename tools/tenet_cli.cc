@@ -720,8 +720,8 @@ int main(int argc, char** argv) {
       // per-conversation SessionContext, once in isolation.  The gap is
       // the value of session state.
       baselines::TenetLinker tenet(
-          baselines::BaselineSubstrate{&world.kb(), &world.embeddings,
-                                       &world.gazetteer(), graph_options, {}},
+          baselines::BaselineSubstrate{world.view, &world.gazetteer(),
+                                       graph_options},
           tenet_options);
       datasets::SessionGenerator session_generator(&world.kb_world);
       datasets::SessionSpec session_spec;
@@ -772,9 +772,8 @@ int main(int argc, char** argv) {
       for (const datasets::Dataset& dataset : corpora) {
         for (const RungConfig& rung : rungs) {
           baselines::TenetLinker tenet(
-              baselines::BaselineSubstrate{&world.kb(), &world.embeddings,
-                                           &world.gazetteer(), graph_options,
-                                           {}},
+              baselines::BaselineSubstrate{world.view, &world.gazetteer(),
+                                           graph_options},
               rung.options);
           report(eval::EvaluateEndToEnd(tenet, dataset, eval_options),
                  dataset.name + "/" + rung.name);
@@ -787,7 +786,7 @@ int main(int argc, char** argv) {
       core::TenetOptions gen_options = tenet_options;
       gen_options.graph = graph_options;
       std::shared_ptr<const serving::KbGeneration> base =
-          serving::KbGeneration::FromSubstrate(world.kb(), world.embeddings,
+          serving::KbGeneration::FromShardedKb(world.view,
                                                /*id=*/1, gen_options);
       serving::ServingOptions sopts;
       sopts.num_threads = args->threads;
@@ -850,8 +849,8 @@ int main(int argc, char** argv) {
                    static_cast<long long>(stats.swaps_rolled_back));
     } else {
       baselines::TenetLinker tenet(
-          baselines::BaselineSubstrate{&world.kb(), &world.embeddings,
-                                       &world.gazetteer(), graph_options, {}},
+          baselines::BaselineSubstrate{world.view, &world.gazetteer(),
+                                       graph_options},
           tenet_options);
       eval::EvalOptions eval_options;
       eval_options.num_threads = args->threads;
@@ -900,7 +899,7 @@ int main(int argc, char** argv) {
     datasets::WorldOptions options;
     options.seed = args->seed;
     datasets::SyntheticWorld world = datasets::BuildWorld(options);
-    core::TenetPipeline tenet(&world.kb(), &world.embeddings,
+    core::TenetPipeline tenet(world.view,
                               &world.gazetteer(), LinkOptions(*args));
     return LinkAndPrint(tenet, *args);
   }
